@@ -8,6 +8,7 @@ All reports are deterministic: fixed float precision, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -212,7 +213,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="convaccel",
         description="Bit-exact simulator and cost model for the convolution accelerator",

@@ -1,11 +1,17 @@
 """Bit-exact functional model of the accelerator pipeline.
 
 One accelerator invocation computes MPOOL(ReLU(CONV(ia, weights, bias)))
-with the ReLU and MPOOL stages optional.  The convolution walks output
-channels in tiles of OCP (one PE per output channel) and input channels
-in tiles of ICP (parallel multiplies feeding an adder tree); integer
-addition is associative, so tiling never changes results and exists here
-only to mirror the hardware loop structure.
+with the ReLU and MPOOL stages optional.  The hardware walks output
+channels in tiles of OCP and input channels in tiles of ICP; integer
+addition is associative, so tiling never changes results and the model
+computes each convolution as f*f float64 matrix products through BLAS,
+one per filter tap.
+
+The float64 accumulation is exact.  Every int8 product satisfies
+|w*a| <= 2**14, so every partial sum, in whatever order BLAS adds, is an
+integer of magnitude at most K * 2**14 with K = f*f*ci.  Doubles hold
+every integer up to 2**53, so no sum rounds while K < 2**39; validate
+caps K at the config's FILTERxFILTERxCHIN_MAX (4608 in conf6).
 
 When a layer's weights exceed the on-chip weight budget, the layer is
 split along the output-channel dimension into secondary convolutions
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AccelConfig
-from .errors import AccumulatorOverflow, ConfigTooSmallError, ShapeError
-from .quant import DfpScheme, I32_MAX, I32_MIN, rescale_block
+from .errors import ConfigTooSmallError, ShapeError
+from .quant import DfpScheme, rescale_block
 from .tensors import QFilterBank, QTensor3
 
 
@@ -91,8 +97,9 @@ def conv_exec(
 ) -> QTensor3:
     """Quantized convolution with optional fused ReLU.
 
-    Padded positions contribute raw zero.  ``icp``/``ocp`` set the tile
-    sizes; None means one tile spanning the full extent.
+    Padded positions contribute raw zero.  ``icp``/``ocp`` are the
+    hardware tile sizes; tiling never changes the sum, so they do not
+    affect the result.
     """
     if bank.ci != ia.channels:
         raise ShapeError(f"bank expects {bank.ci} input channels, tensor has {ia.channels}")
@@ -104,57 +111,37 @@ def conv_exec(
     h, x, ci = ia.geom
     co, f, s, p = spec.co, spec.filter, spec.stride, spec.padding
     ho, wo = conv_out_dims(h, x, spec)
-    icp = icp or ci
-    ocp = ocp or co
 
-    src = ia.as_3d().astype(np.int64)
-    if p:
-        padded = np.zeros((h + 2 * p, x + 2 * p, ci), dtype=np.int64)
-        padded[p : p + h, p : p + x] = src
-    else:
-        padded = src
-    w4 = bank.as_4d().astype(np.int64)
+    padded = np.zeros((h + 2 * p, x + 2 * p, ci))
+    padded[p : p + h, p : p + x] = ia.as_3d()
+    taps = bank.as_4d().transpose(1, 2, 3, 0).astype(np.float64)  # (f, f, ci, co)
 
-    acc = np.zeros((ho, wo, co), dtype=np.int64)
-    for c0 in range(0, co, ocp):
-        c1 = min(c0 + ocp, co)
-        for k0 in range(0, ci, icp):
-            k1 = min(k0 + icp, ci)
-            part = np.zeros((ho, wo, c1 - c0), dtype=np.int64)
-            for fy in range(f):
-                for fx in range(f):
-                    window = padded[fy : fy + s * ho : s, fx : fx + s * wo : s, k0:k1]
-                    part += np.tensordot(window, w4[c0:c1, fy, fx, k0:k1], axes=([2], [1]))
-            acc[:, :, c0:c1] += part
+    acc = np.zeros((ho * wo, co))
+    for fy in range(f):
+        for fx in range(f):
+            window = padded[fy : fy + s * ho : s, fx : fx + s * wo : s]
+            acc += window.reshape(ho * wo, ci) @ taps[fy, fx]
 
-    if acc.size and (acc.min() < I32_MIN or acc.max() > I32_MAX):
-        raise AccumulatorOverflow("convolution accumulator left the 32-bit range")
-    out = rescale_block(acc, spec.scheme, bank.biases)
+    out = rescale_block(acc.astype(np.int64), spec.scheme, bank.biases)
     if spec.relu:
         out = np.maximum(out, 0)
     return QTensor3(ho, wo, co, out.reshape(-1), spec.scheme.output_frac)
 
 
 def mpool_exec(t: QTensor3, window: int, stride: int = 2) -> QTensor3:
-    """Channel-wise max pool via the two-phase reduction.
+    """Channel-wise max pool.
 
-    Phase one reduces the window rows into a result row (MAX between 3-D
-    rows along the height); phase two reduces pixels within that row.
-    Equals the direct window max by associativity of max.
+    Takes the elementwise max of the window*window strided slices of the
+    input; max is associative, so this equals the hardware's two-phase
+    reduction (window rows into a result row, then pixels within it).
     """
     pool = PoolSpec(window, stride)
     ho, wo = pool_out_dims(t.height, t.width, pool)
     v = t.as_3d()
-    out = np.empty((ho, wo, t.channels), dtype=np.int8)
-    for yo in range(ho):
-        result_row = v[yo * stride].copy()
-        for j in range(1, window):
-            np.maximum(result_row, v[yo * stride + j], out=result_row)
-        for xo in range(wo):
-            result_pixel = result_row[xo * stride].copy()
-            for k in range(1, window):
-                np.maximum(result_pixel, result_row[xo * stride + k], out=result_pixel)
-            out[yo, xo] = result_pixel
+    out = v[0 : stride * ho : stride, 0 : stride * wo : stride].copy()
+    for j in range(window):
+        for k in range(window):
+            np.maximum(out, v[j : j + stride * ho : stride, k : k + stride * wo : stride], out=out)
     return QTensor3(ho, wo, t.channels, out.reshape(-1), t.frac_bits)
 
 
@@ -166,7 +153,10 @@ def accel_exec(
     icp: int | None = None,
     ocp: int | None = None,
 ) -> QTensor3:
-    """Full accelerator invocation: CONV, then optional ReLU, then optional MPOOL."""
+    """Full accelerator invocation: CONV, then optional ReLU, then optional MPOOL.
+
+    ``icp``/``ocp`` do not affect the result (see conv_exec).
+    """
     out = conv_exec(ia, bank, spec, icp=icp, ocp=ocp)
     if spec.pool is not None:
         out = mpool_exec(out, spec.pool.window, spec.pool.stride)
@@ -239,14 +229,14 @@ def exec_with_split(
     else:
         check_plan(plan, bank.geom, cfg)
     if len(plan.groups) == 1:
-        return accel_exec(ia, bank, spec, icp=cfg.icp, ocp=cfg.ocp)
+        return accel_exec(ia, bank, spec)
     pieces = []
     for lo, hi in plan.groups:
         sub_bank = bank.slice_out_channels(lo, hi)
         sub_spec = LayerSpec(
             spec.filter, spec.stride, spec.padding, hi - lo, spec.relu, spec.pool, spec.scheme
         )
-        pieces.append(accel_exec(ia, sub_bank, sub_spec, icp=cfg.icp, ocp=cfg.ocp).as_3d())
+        pieces.append(accel_exec(ia, sub_bank, sub_spec).as_3d())
     merged = np.concatenate(pieces, axis=2)
     h, x, c = merged.shape
     return QTensor3(h, x, c, merged.reshape(-1), spec.scheme.output_frac)

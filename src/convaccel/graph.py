@@ -55,6 +55,9 @@ INPUT_ID = "input"
 
 HOST_KINDS = ("concat", "global_avg_pool", "fully_connected", "softmax")
 
+# Weight rows converted to float64 at a time by a fully_connected node.
+FC_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class ConvNode:
@@ -724,9 +727,15 @@ def run_network(
                     f"{node.id}: bank {bank.geom} does not match fully_connected "
                     f"({node.units} units on {flat.size} inputs)"
                 )
-            w = bank.as_4d().reshape(node.units, flat.size) * 2.0**-bank.weight_frac_bits
+            # Converting the int8 weights in row blocks bounds the float64
+            # copy.  Scaling by the power of two 2**-weight_frac_bits after
+            # the matvec instead of before it commutes with every rounding,
+            # so the result is the same as (w * 2**-fp) @ flat.
+            w = bank.as_4d().reshape(node.units, flat.size)
+            rows = range(0, node.units, FC_BLOCK_ROWS)
+            acc = np.concatenate([w[r : r + FC_BLOCK_ROWS].astype(np.float64) @ flat for r in rows])
             b = bank.biases.astype(np.float64) * 2.0**-bank.bias_frac_bits
-            out = FTensor3(1, 1, node.units, w @ flat + b)
+            out = FTensor3(1, 1, node.units, acc * 2.0**-bank.weight_frac_bits + b)
         elif node.kind == "softmax":
             src = sources[0]
             flat = dequantize(src).values if isinstance(src, QTensor3) else src.values

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from convaccel import (
     QTensor3,
     SplitPlan,
     accel_exec,
+    load_config,
     conv_exec,
     exec_with_split,
     mpool_exec,
@@ -106,6 +109,30 @@ def test_conv_extreme_schemes_against_oracle():
             fb,
         )
         assert list(conv_exec(ia, bank, spec).values) == conv_ref(ia, bank, spec)
+
+
+def test_conv_large_k_against_oracle():
+    # K = 9 * ci up to 4608, the largest FILTERxFILTERxCHIN_MAX of the
+    # reference configs; the float64 accumulation must stay exact there
+    rng = seeded(103)
+    scheme = DfpScheme(4, 5, 5, -4)
+    for ci in (64, 200, 512):
+        spec = LayerSpec(3, 1, 1, 3, rng.random() < 0.5, None, scheme)
+        ia = random_tensor(rng, 3, 2, ci, frac=4)
+        bank = random_bank(rng, 3, 3, ci, wf=5, bf=5)
+        assert list(conv_exec(ia, bank, spec).values) == conv_ref(ia, bank, spec)
+
+
+def test_conv_all_min_int8_at_k_4608():
+    # every product is +2**14; the centre sum is 4608 * 2**14, exactly
+    ci = 512
+    scheme = DfpScheme(7, 7, 0, -6)
+    spec = LayerSpec(3, 1, 1, 2, False, None, scheme)
+    ia = QTensor3(3, 3, ci, [-128] * (9 * ci), 7)
+    bank = QFilterBank(2, 3, 3, ci, [-128] * (2 * 9 * ci), [0, 0], 7, 0)
+    got = conv_exec(ia, bank, spec)
+    assert list(got.values) == conv_ref(ia, bank, spec)
+    assert got.at(1, 1, 0) == rescale_acc(4608 * 2**14, scheme)
 
 
 def test_conv_overflow_diagnostic():
@@ -351,6 +378,21 @@ def test_exec_with_split_matches_unsplit():
         cfg = wide_open_config(chout_x_filter_x_filter_x_chin_max=per_out * group)
         got = exec_with_split(ia, bank, spec, cfg)
         assert got == accel_exec(ia, bank, spec)
+
+
+def test_exec_with_split_vgg16_conv5_geometry(data_dir):
+    # 4x4x512 -> 512 3x3, as vgg16's conv5 layers at a 64x64 input, split
+    # by conf6's weight budget
+    rng = np.random.default_rng(141)
+    cfg = load_config(os.path.join(data_dir, "configs", "conf6.cfg"))
+    scheme = DfpScheme(3, 7, 7, 1)
+    spec = LayerSpec(3, 1, 1, 512, True, PoolSpec(2), scheme)
+    ia = QTensor3(4, 4, 512, rng.integers(-128, 128, 4 * 4 * 512), 3)
+    bank = QFilterBank(
+        512, 3, 3, 512, rng.integers(-128, 128, 512 * 9 * 512), rng.integers(-128, 128, 512), 7, 7
+    )
+    assert plan_split(bank.geom, cfg).restreams > 1
+    assert exec_with_split(ia, bank, spec, cfg) == accel_exec(ia, bank, spec)
 
 
 def test_exec_with_custom_plan():

@@ -18,7 +18,7 @@ from convaccel import (
 )
 from convaccel.engine import plan_split
 from convaccel.errors import LoadError, ParseError, ValidationError
-from convaccel.graph import ConvNode, HostNode, NetworkGraph, save_network
+from convaccel.graph import FC_BLOCK_ROWS, ConvNode, HostNode, NetworkGraph, save_network
 from reference import layer_ref
 
 
@@ -509,6 +509,26 @@ def test_fully_connected_real_domain(tmp_path):
     assert sm.shape == (4,) and abs(sm.sum() - 1.0) < 1e-12
     e = np.exp(want - want.max())
     assert np.allclose(sm, e / e.sum())
+
+
+def test_fully_connected_blocked_matches_plain_formula(tmp_path):
+    # a unit count that is not a multiple of the conversion block size
+    rng = seeded(225)
+    units = FC_BLOCK_ROWS + 3
+    ia = random_tensor(rng, 2, 2, 3, frac=4)
+    fc_bank = random_bank(rng, units, 1, 12, wf=6, bf=5)
+    save_bank(fc_bank, tmp_path / "fc.qfb")
+    net = NetworkGraph(
+        "f",
+        (2, 2, 3),
+        4,
+        [HostNode("fc", "fully_connected", ("input",), units=units, params="fc.qfb")],
+        str(tmp_path),
+    )
+    outputs, _ = run_network(net, wide_open_config(), ia)
+    w = fc_bank.as_4d().reshape(units, 12) * 2.0**-6
+    b = fc_bank.biases.astype(float) * 2.0**-5
+    assert np.array_equal(outputs["fc"].values, w @ dequantize(ia).values + b)
 
 
 def test_missing_params_is_load_error(tmp_path):
