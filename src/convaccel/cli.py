@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 parse/format error, 3 validation error,
 4 load error (missing or mismatched artifact), 5 internal error.
+A reader that closes stdout early (``convaccel estimate ... | head``)
+ends the command quietly with exit 0.
 All reports are deterministic: fixed float precision, no timestamps.
 """
 
@@ -11,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 
 from . import dse as dse_mod
 from .config import DEFAULT_CALIBRATION, load_calibration, load_config
@@ -44,25 +45,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_LOAD = 4
 EXIT_INTERNAL = 5
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one run invocation needs; all paths must exist."""
-
-    net_path: str
-    config_path: str
-    input_path: str
-    out_dir: str
-    emits: tuple[str, ...]
-    calibration_path: str | None
-
-    def check(self):
-        for path in (self.net_path, self.config_path, self.input_path):
-            if not os.path.exists(path):
-                raise LoadError(f"file not found: {path}")
-        if self.calibration_path and not os.path.exists(self.calibration_path):
-            raise LoadError(f"file not found: {self.calibration_path}")
 
 
 def _calibration(path):
@@ -154,25 +136,22 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    manifest = RunManifest(
-        args.net, args.config, args.input, args.out_dir, tuple(args.emit or ()), args.calibration
-    )
-    manifest.check()
-    net = parse_network(manifest.net_path)
-    cfg = load_config(manifest.config_path)
-    calib = _calibration(manifest.calibration_path)
-    input_tensor = load_tensor(manifest.input_path)
-    outputs, report = run_network(
-        net, cfg, input_tensor, calib=calib, emits=manifest.emits
-    )
-    os.makedirs(manifest.out_dir, exist_ok=True)
+    for path in (args.net, args.config, args.input, args.calibration):
+        if path and not os.path.exists(path):
+            raise LoadError(f"file not found: {path}")
+    net = parse_network(args.net)
+    cfg = load_config(args.config)
+    calib = _calibration(args.calibration)
+    input_tensor = load_tensor(args.input)
+    outputs, report = run_network(net, cfg, input_tensor, calib=calib, emits=tuple(args.emit or ()))
+    os.makedirs(args.out_dir, exist_ok=True)
     for node_id, tensor in outputs.items():
-        save_tensor(tensor, os.path.join(manifest.out_dir, f"{node_id}.qt3"))
+        save_tensor(tensor, os.path.join(args.out_dir, f"{node_id}.qt3"))
     lines = _perf_lines(report)
-    with open(os.path.join(manifest.out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
-    print(f"wrote {len(outputs)} tensors to {manifest.out_dir}")
+    print(f"wrote {len(outputs)} tensors to {args.out_dir}")
     return EXIT_OK
 
 
@@ -260,7 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's exit flush
+        return status
+    except BrokenPipeError:
+        # As the Python docs' SIGPIPE note advises: point stdout at devnull
+        # so the final flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ParseError, FormatError, CorruptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

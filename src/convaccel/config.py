@@ -9,6 +9,7 @@ Calibration field names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ParseError
@@ -55,8 +56,8 @@ class AccelConfig:
     name: str = ""
 
     def __post_init__(self):
-        if self.freq_mhz <= 0:
-            raise ValueError(f"FREQ must be positive, got {self.freq_mhz}")
+        if not (math.isfinite(self.freq_mhz) and self.freq_mhz > 0):
+            raise ValueError(f"FREQ must be positive and finite, got {self.freq_mhz}")
         for key in ("apack", "ppack", "icp", "ocp"):
             v = getattr(self, key)
             if not _pow2(v):
@@ -133,6 +134,9 @@ class Calibration:
         for name in ("k_pipe", "k_layer", "k_pool", "c_dsp"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for name in ("p0_w", "power_slope_w_per_100mhz", "host_ns_per_unit"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.host_ns_per_unit < 0:
             raise ValueError("host_ns_per_unit must be nonnegative")
 

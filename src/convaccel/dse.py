@@ -20,6 +20,7 @@ over the workloads; max_latency_ms constrains each workload separately.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -225,6 +226,13 @@ def write_csv(points, spec: SweepSpec, fh) -> None:
         fh.write(",".join(row) + "\n")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def load_sweep(path) -> SweepSpec:
     axes: dict[str, tuple] = {}
     points: list[dict] = []
@@ -239,7 +247,7 @@ def load_sweep(path) -> SweepSpec:
         if param == "PE_DSP" and text == "ocp":
             return "ocp"
         try:
-            return float(text) if param == "FREQ" else int(text)
+            return _finite(text) if param == "FREQ" else int(text)
         except ValueError:
             raise ParseError(path, line_no, f"bad value {text!r} for {param}") from None
 
@@ -277,7 +285,7 @@ def load_sweep(path) -> SweepSpec:
                         path, line_no, f"constraint takes one of {CONSTRAINT_KEYS} and a value"
                     )
                 try:
-                    constraints[rest[0]] = float(rest[1])
+                    constraints[rest[0]] = _finite(rest[1])
                 except ValueError:
                     raise ParseError(path, line_no, f"bad constraint value {rest[1]!r}") from None
             elif head == "objective":

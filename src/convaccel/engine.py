@@ -21,7 +21,8 @@ channel order, bit-exactly equal to the unsplit run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,13 +37,11 @@ class PoolSpec:
     """Max-pool window fused behind a convolution; only 2x2/s2 and 3x3/s2 exist."""
 
     window: int
-    stride: int = 2
+    stride: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.window not in (2, 3):
             raise ValueError(f"pool window must be 2 or 3, got {self.window}")
-        if self.stride != 2:
-            raise ValueError(f"pool stride must be 2, got {self.stride}")
 
 
 @dataclass(frozen=True)
@@ -87,20 +86,8 @@ def pool_out_dims(h: int, x: int, pool: PoolSpec) -> tuple[int, int]:
     return (h - pool.window) // pool.stride + 1, (x - pool.window) // pool.stride + 1
 
 
-def conv_exec(
-    ia: QTensor3,
-    bank: QFilterBank,
-    spec: LayerSpec,
-    *,
-    icp: int | None = None,
-    ocp: int | None = None,
-) -> QTensor3:
-    """Quantized convolution with optional fused ReLU.
-
-    Padded positions contribute raw zero.  ``icp``/``ocp`` are the
-    hardware tile sizes; tiling never changes the sum, so they do not
-    affect the result.
-    """
+def conv_exec(ia: QTensor3, bank: QFilterBank, spec: LayerSpec) -> QTensor3:
+    """Quantized convolution with optional fused ReLU; padded positions contribute raw zero."""
     if bank.ci != ia.channels:
         raise ShapeError(f"bank expects {bank.ci} input channels, tensor has {ia.channels}")
     if bank.co != spec.co:
@@ -128,15 +115,15 @@ def conv_exec(
     return QTensor3(ho, wo, co, out.reshape(-1), spec.scheme.output_frac)
 
 
-def mpool_exec(t: QTensor3, window: int, stride: int = 2) -> QTensor3:
+def mpool_exec(t: QTensor3, window: int) -> QTensor3:
     """Channel-wise max pool.
 
     Takes the elementwise max of the window*window strided slices of the
     input; max is associative, so this equals the hardware's two-phase
     reduction (window rows into a result row, then pixels within it).
     """
-    pool = PoolSpec(window, stride)
-    ho, wo = pool_out_dims(t.height, t.width, pool)
+    ho, wo = pool_out_dims(t.height, t.width, PoolSpec(window))
+    stride = PoolSpec.stride
     v = t.as_3d()
     out = v[0 : stride * ho : stride, 0 : stride * wo : stride].copy()
     for j in range(window):
@@ -145,21 +132,11 @@ def mpool_exec(t: QTensor3, window: int, stride: int = 2) -> QTensor3:
     return QTensor3(ho, wo, t.channels, out.reshape(-1), t.frac_bits)
 
 
-def accel_exec(
-    ia: QTensor3,
-    bank: QFilterBank,
-    spec: LayerSpec,
-    *,
-    icp: int | None = None,
-    ocp: int | None = None,
-) -> QTensor3:
-    """Full accelerator invocation: CONV, then optional ReLU, then optional MPOOL.
-
-    ``icp``/``ocp`` do not affect the result (see conv_exec).
-    """
-    out = conv_exec(ia, bank, spec, icp=icp, ocp=ocp)
+def accel_exec(ia: QTensor3, bank: QFilterBank, spec: LayerSpec) -> QTensor3:
+    """Full accelerator invocation: CONV, then optional ReLU, then optional MPOOL."""
+    out = conv_exec(ia, bank, spec)
     if spec.pool is not None:
-        out = mpool_exec(out, spec.pool.window, spec.pool.stride)
+        out = mpool_exec(out, spec.pool.window)
     return out
 
 
@@ -192,51 +169,21 @@ def plan_split(bank_geom: tuple[int, int, int, int], cfg: AccelConfig) -> SplitP
     return SplitPlan(groups)
 
 
-def check_plan(plan: SplitPlan, bank_geom: tuple[int, int, int, int], cfg: AccelConfig) -> None:
-    """Raise if a plan violates the split invariants for this geometry/config."""
-    co, fh, fw, ci = bank_geom
-    per_out_bytes = fh * fw * ci
-    cursor = 0
-    for lo, hi in plan.groups:
-        if lo != cursor or hi <= lo:
-            raise ValueError(f"groups are not contiguous ranges covering [0, {co})")
-        size = hi - lo
-        if size > cfg.chout_max:
-            raise ValueError(f"group [{lo}, {hi}) exceeds CHOUT_MAX={cfg.chout_max}")
-        if size * per_out_bytes > cfg.chout_x_filter_x_filter_x_chin_max:
-            raise ValueError(f"group [{lo}, {hi}) exceeds the weight OCM budget")
-        cursor = hi
-    if cursor != co:
-        raise ValueError(f"groups cover [0, {cursor}) but co={co}")
-
-
 def exec_with_split(
-    ia: QTensor3,
-    bank: QFilterBank,
-    spec: LayerSpec,
-    cfg: AccelConfig,
-    *,
-    plan: SplitPlan | None = None,
+    ia: QTensor3, bank: QFilterBank, spec: LayerSpec, cfg: AccelConfig
 ) -> QTensor3:
-    """Run a layer as secondary convolutions and merge along the channel dim.
+    """Run a layer as plan_split's secondary convolutions and merge along the channel dim.
 
     Each group re-streams the full input; outputs concatenate in ascending
-    channel order.  Bit-exact equal to the unsplit accel_exec for any plan
-    satisfying the split invariants, not only the greedy one.
+    channel order, bit-exact equal to the unsplit accel_exec.
     """
-    if plan is None:
-        plan = plan_split(bank.geom, cfg)
-    else:
-        check_plan(plan, bank.geom, cfg)
+    plan = plan_split(bank.geom, cfg)
     if len(plan.groups) == 1:
         return accel_exec(ia, bank, spec)
     pieces = []
     for lo, hi in plan.groups:
         sub_bank = bank.slice_out_channels(lo, hi)
-        sub_spec = LayerSpec(
-            spec.filter, spec.stride, spec.padding, hi - lo, spec.relu, spec.pool, spec.scheme
-        )
-        pieces.append(accel_exec(ia, sub_bank, sub_spec).as_3d())
+        pieces.append(accel_exec(ia, sub_bank, replace(spec, co=hi - lo)).as_3d())
     merged = np.concatenate(pieces, axis=2)
     h, x, c = merged.shape
     return QTensor3(h, x, c, merged.reshape(-1), spec.scheme.output_frac)

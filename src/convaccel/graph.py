@@ -134,26 +134,18 @@ class NetworkGraph:
                     )
         if self.nodes and not any(INPUT_ID in n.inputs for n in self.nodes):
             raise ValidationError(f"{self.name}: no node consumes the graph input")
-        pending = {n.id: sum(1 for r in n.inputs if r != INPUT_ID) for n in self.nodes}
-        done = []
-        ready = [n for n in self.nodes if pending[n.id] == 0]
-        consumers = {}
-        for node in self.nodes:
-            for ref in node.inputs:
-                if ref != INPUT_ID:
-                    consumers.setdefault(ref, []).append(node.id)
-        while ready:
-            node = ready.pop(0)
-            done.append(node)
-            for cid in consumers.get(node.id, ()):
-                pending[cid] -= 1
-                if pending[cid] == 0:
-                    ready.append(self._by_id[cid])
-            ready.sort(key=lambda n: self.nodes.index(n))
-        if len(done) != len(self.nodes):
-            stuck = sorted(set(self._by_id) - {n.id for n in done})
-            raise ValidationError(f"{self.name}: cycle involving {', '.join(stuck)}")
-        return tuple(done)
+        # Repeatedly take the first declared node whose inputs are all done:
+        # declaration order breaks every tie, so an ordered file keeps its order.
+        done, order, pending = {INPUT_ID}, [], list(self.nodes)
+        while pending:
+            i = next((i for i, n in enumerate(pending) if done.issuperset(n.inputs)), None)
+            if i is None:
+                stuck = sorted(n.id for n in pending)
+                raise ValidationError(f"{self.name}: cycle involving {', '.join(stuck)}")
+            node = pending.pop(i)
+            done.add(node.id)
+            order.append(node)
+        return tuple(order)
 
     def _infer_shapes(self):
         # geometry and quantization exponent per producer; frac None = real domain
@@ -643,13 +635,17 @@ def _round_half_away_int(total: int, n: int) -> int:
     return mag if total >= 0 else -mag
 
 
-def _load_conv_bank(node: ConvNode, base_dir, in_ci: int) -> QFilterBank:
+def _load_params(node, base_dir) -> QFilterBank:
     if not node.params:
         raise LoadError(f"{node.id}: no parameter file declared")
     path = os.path.join(base_dir, node.params)
     if not os.path.exists(path):
         raise LoadError(f"{node.id}: parameter file {path} not found")
-    bank = load_bank(path)
+    return load_bank(path)
+
+
+def _load_conv_bank(node: ConvNode, base_dir, in_ci: int) -> QFilterBank:
+    bank = _load_params(node, base_dir)
     if bank.geom != (node.co, node.filter, node.filter, in_ci):
         raise LoadError(
             f"{node.id}: bank {bank.geom} does not match layer "
@@ -668,7 +664,6 @@ def run_network(
     cfg: AccelConfig,
     input_tensor: QTensor3,
     *,
-    params_root: str | None = None,
     calib: Calibration = DEFAULT_CALIBRATION,
     emits: tuple[str, ...] = (),
 ):
@@ -693,13 +688,12 @@ def run_network(
         if want != INPUT_ID and want not in net._by_id:
             raise ValidationError(f"requested output {want!r} is not a node id")
 
-    base_dir = params_root if params_root is not None else net.base_dir
     report = perf.network_perf(net, cfg, calib)
     results = {INPUT_ID: input_tensor}
     for node, sn in zip(net.topo_order(), net.shaped_nodes()):
         sources = [results[r] for r in node.inputs]
         if node.kind == "conv":
-            bank = _load_conv_bank(node, base_dir, sn.in_geom[2])
+            bank = _load_conv_bank(node, net.base_dir, sn.in_geom[2])
             out = exec_with_split(sources[0], bank, sn.spec, cfg)
         elif node.kind == "concat":
             merged = np.concatenate([s.as_3d() for s in sources], axis=2)
@@ -716,12 +710,7 @@ def run_network(
             flat = (
                 dequantize(src).values if isinstance(src, QTensor3) else src.values
             )
-            if not node.params:
-                raise LoadError(f"{node.id}: no parameter file declared")
-            path = os.path.join(base_dir, node.params)
-            if not os.path.exists(path):
-                raise LoadError(f"{node.id}: parameter file {path} not found")
-            bank = load_bank(path)
+            bank = _load_params(node, net.base_dir)
             if bank.co != node.units or bank.ci != flat.size or (bank.fh, bank.fw) != (1, 1):
                 raise LoadError(
                     f"{node.id}: bank {bank.geom} does not match fully_connected "

@@ -136,9 +136,6 @@ def conv_cycles(
     return LayerCycles(compute, transfer_in, param, writeback, pool, plan.restreams)
 
 
-HOST_KINDS = ("concat", "global_avg_pool", "fully_connected", "softmax")
-
-
 def host_units(kind: str, in_elems: int, out_elems: int) -> int:
     """Elementary host-CPU operations charged for one host-executed node."""
     if kind == "concat":

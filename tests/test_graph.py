@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,35 @@ def test_topological_order_ignores_declaration_order(tmp_path):
     out2, _ = run_network(n2, cfg, ia)
     assert out1.keys() == out2.keys()
     assert out1["b"] == out2["b"]
+
+
+def test_topo_order_respects_inputs_under_shuffles(data_dir):
+    net = parse_network(os.path.join(data_dir, "networks", "peleenet.net"))
+    for seed in range(10):
+        nodes = list(net.nodes)
+        seeded(seed).shuffle(nodes)
+        order = NetworkGraph(net.name, net.input_geom, net.input_frac, nodes).topo_order()
+        position = {n.id: i for i, n in enumerate(order)}
+        assert len(order) == len(nodes)
+        for node in nodes:
+            assert all(r == "input" or position[r] < position[node.id] for r in node.inputs)
+
+
+@pytest.mark.parametrize("name", ["peleenet", "squeezenet_v11", "vgg16", "zynqnet"])
+def test_shipped_network_topo_order_is_declaration_order(data_dir, name):
+    net = parse_network(os.path.join(data_dir, "networks", f"{name}.net"))
+    assert net.topo_order() == net.nodes
+
+
+def test_cycle_error_names_sorted_stuck_ids():
+    nodes = [
+        _conv_node("a", ["input"]),
+        _conv_node("z", ["x"]),
+        _conv_node("x", ["y"]),
+        _conv_node("y", ["z"]),
+    ]
+    with pytest.raises(ValidationError, match="cycle involving x, y, z$"):
+        NetworkGraph("t", (4, 4, 2), 4, nodes)
 
 
 def test_parse_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_scheme, seeded
 from convaccel import DfpScheme, FTensor3, choose_frac_bits, dequantize, quantize, rescale_acc
 from convaccel.errors import AccumulatorOverflow
-from convaccel.quant import rescale_block, shift_round
+from convaccel.quant import I32_MAX, I32_MIN, rescale_block, shift_round
 from reference import rescale_ref, shift_round_ref
 
 
@@ -140,6 +140,21 @@ def test_rescale_block_matches_scalar():
         for j in range(4):
             for c in range(6):
                 assert block[i, j, c] == rescale_acc(int(accs[(i * 4 + j) * 6 + c]), scheme, int(biases[c]))
+
+
+def test_rescale_block_matches_reference_at_ties_and_edges():
+    rng = np.random.default_rng(47)
+    biases = np.array([-128, -1, 0, 127], dtype=np.int8)
+    for shift in range(1, 24):
+        # input + weight - output exponent and bias - output exponent both equal shift
+        scheme = DfpScheme((shift - 8) // 2, shift - 8 - (shift - 8) // 2, shift - 8, -8)
+        ties = np.arange(-81, 81, 2) << (shift - 1)  # v = (2m+1) * 2**(s-1), both signs
+        edges = [I32_MIN, I32_MIN + 1, I32_MAX - 1, I32_MAX]
+        near = rng.integers(-(128 << shift), 128 << shift, 200)  # mostly unsaturated
+        accs = np.concatenate([ties - 1, ties, ties + 1, edges, near]).astype(np.int64)
+        block = rescale_block(np.repeat(accs[:, None], 4, axis=1), scheme, biases)
+        want = [[rescale_ref(int(a), scheme, int(b)) for b in biases] for a in accs]
+        assert block.tolist() == want, shift
 
 
 @given(st.data())
