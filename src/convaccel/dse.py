@@ -121,14 +121,23 @@ def _evaluate(cfg: AccelConfig, spec: SweepSpec, calib: Calibration):
     return metrics, problems
 
 
-def _dominates(a: dict, b: dict, objectives) -> bool:
-    better_somewhere = False
-    for obj in objectives:
-        if a[obj] > b[obj]:
-            return False
-        if a[obj] < b[obj]:
-            better_somewhere = True
-    return better_somewhere
+def _non_dominated(points, objectives) -> list[DesignPoint]:
+    """Points that no other point dominates, in stable objective-tuple order.
+
+    A point dominates another when it is no worse in every objective and
+    better in one.  After a stable sort by the objective tuple every
+    dominator of a point precedes it, and a dominated dominator has a kept
+    dominator earlier still, so each point is checked only against the
+    points kept before it.  Equal tuples never dominate each other.
+    """
+    keyed = sorted(
+        ((tuple(p.metrics[obj] for obj in objectives), p) for p in points), key=lambda kp: kp[0]
+    )
+    kept = []
+    for key, p in keyed:
+        if not any(k != key and all(a <= b for a, b in zip(k, key)) for k, _ in kept):
+            kept.append((key, p))
+    return [p for _, p in kept]
 
 
 def enumerate_points(
@@ -170,23 +179,13 @@ def enumerate_points(
             DesignPoint(fields, cfg, metrics, not problems, note="; ".join(problems))
         )
 
-    feasible = [p for p in points if p.feasible]
-    for i, p in enumerate(points):
-        if p.feasible and any(
-            _dominates(q.metrics, p.metrics, spec.objectives) for q in feasible if q is not p
-        ):
-            points[i] = replace(p, dominated=True)
-    return points
+    front = {id(p) for p in _non_dominated([p for p in points if p.feasible], spec.objectives)}
+    return [replace(p, dominated=True) if p.feasible and id(p) not in front else p for p in points]
 
 
 def pareto_front(points, objectives) -> list[DesignPoint]:
     """Non-dominated feasible points, sorted by the objectives then config order."""
-    feasible = [p for p in points if p.feasible and p.metrics is not None]
-    front = [
-        p
-        for p in feasible
-        if not any(_dominates(q.metrics, p.metrics, objectives) for q in feasible if q is not p)
-    ]
+    front = _non_dominated([p for p in points if p.feasible and p.metrics is not None], objectives)
 
     def sort_key(p):
         cfg_order = tuple(float(p.fields.get(k, 0)) for k in CONFIG_KEYS)

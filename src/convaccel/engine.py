@@ -151,22 +151,32 @@ class SplitPlan:
         return len(self.groups)
 
 
-def plan_split(bank_geom: tuple[int, int, int, int], cfg: AccelConfig) -> SplitPlan:
-    """Greedy split of a parameter bank across the weight OCM budget.
+def split_groups(co: int, per_out_bytes: int, cfg: AccelConfig) -> tuple[int, int]:
+    """(group size, group count) of the greedy split of ``co`` output channels.
 
-    Packs the largest group size allowed by both the weight byte budget
-    and the output-pixel capacity, then covers [0, co) with equal chunks.
+    The group size is the largest allowed by both the weight byte budget
+    and the output-pixel capacity; ``per_out_bytes`` is the weight bytes of
+    one output channel.  Raises ConfigTooSmallError when not even one
+    channel fits.
     """
-    co, fh, fw, ci = bank_geom
-    per_out_bytes = fh * fw * ci
     group = min(cfg.chout_max, cfg.chout_x_filter_x_filter_x_chin_max // per_out_bytes)
     if group < 1:
         raise ConfigTooSmallError(
             f"one output channel needs {per_out_bytes} weight bytes but "
             f"CHOUTxFILTERxFILTERxCHIN_MAX is {cfg.chout_x_filter_x_filter_x_chin_max}"
         )
-    groups = tuple((lo, min(lo + group, co)) for lo in range(0, co, group))
-    return SplitPlan(groups)
+    return group, -(-co // group)
+
+
+def plan_split(bank_geom: tuple[int, int, int, int], cfg: AccelConfig) -> SplitPlan:
+    """Greedy split of a parameter bank across the weight OCM budget.
+
+    Covers [0, co) with chunks of split_groups' group size, the last one
+    holding the remainder.
+    """
+    co, fh, fw, ci = bank_geom
+    group, _ = split_groups(co, fh * fw * ci, cfg)
+    return SplitPlan(tuple((lo, min(lo + group, co)) for lo in range(0, co, group)))
 
 
 def exec_with_split(

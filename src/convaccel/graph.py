@@ -38,8 +38,9 @@ from .engine import (
     conv_out_dims,
     exec_with_split,
     mpool_exec,
-    plan_split,
-    pool_out_dims,
+    # Unused here; bound because bench/test_bench.py checks the tracer patches it.
+    plan_split,  # noqa: F401
+    split_groups,
 )
 from .errors import (
     ConfigTooSmallError,
@@ -94,13 +95,14 @@ class HostNode:
 
 @dataclass(frozen=True)
 class ShapedNode:
-    """A node with its resolved geometry and, for convolutions, its LayerSpec."""
+    """A node with its resolved geometry and, for convolutions, its LayerSpec and cost terms."""
 
     node_id: str
     kind: str
     in_geom: tuple[int, int, int]
     out_geom: tuple[int, int, int]
     spec: LayerSpec | None
+    terms: perf.ConvTerms | None
 
 
 class NetworkGraph:
@@ -155,6 +157,7 @@ class NetworkGraph:
         for node in self._order:
             in_geoms = [geom[r] for r in node.inputs]
             in_fracs = [frac[r] for r in node.inputs]
+            terms = None
             if node.kind == "conv":
                 if len(node.inputs) != 1:
                     raise ValidationError(f"{node.id}: conv takes exactly one input")
@@ -171,14 +174,11 @@ class NetworkGraph:
                     node.pool,
                     DfpScheme(in_fracs[0], node.weight_frac, node.bias_frac, node.out_frac),
                 )
-                h, x, _ = in_geoms[0]
                 try:
-                    ho, wo = conv_out_dims(h, x, spec)
-                    if spec.pool:
-                        ho, wo = pool_out_dims(ho, wo, spec.pool)
+                    terms = perf.conv_terms(spec, in_geoms[0])
                 except ShapeError as exc:
                     raise ValidationError(f"{node.id}: {exc}") from None
-                out_geom, out_frac = (ho, wo, node.co), node.out_frac
+                out_geom, out_frac = terms.out_geom, node.out_frac
             elif node.kind == "concat":
                 if len(node.inputs) < 2:
                     raise ValidationError(f"{node.id}: concat needs at least two inputs")
@@ -210,7 +210,7 @@ class NetworkGraph:
                 raise ValidationError(f"{node.id}: unknown node kind {node.kind!r}")
             geom[node.id] = out_geom
             frac[node.id] = out_frac
-            shaped.append(ShapedNode(node.id, node.kind, in_geoms[0], out_geom, spec))
+            shaped.append(ShapedNode(node.id, node.kind, in_geoms[0], out_geom, spec, terms))
         return tuple(shaped)
 
     def topo_order(self):
@@ -231,13 +231,8 @@ class NetworkGraph:
 
     def mac_count(self) -> int:
         """Multiply-accumulate count of the accelerated layers."""
-        total = 0
-        for sn in self._shaped:
-            if sn.spec is not None:
-                h, x, ci = sn.in_geom
-                ho, wo = conv_out_dims(h, x, sn.spec)
-                total += ho * wo * sn.spec.co * sn.spec.filter**2 * ci
-        return total
+        terms = [sn.terms for sn in self._shaped if sn.terms is not None]
+        return sum(t.pixels * t.co * t.per_out_bytes for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -403,34 +398,31 @@ def validate(net: NetworkGraph, cfg: AccelConfig) -> LegalityReport:
     for sn in net.shaped_nodes():
         if sn.spec is None:
             continue
-        spec, (h, x, ci) = sn.spec, sn.in_geom
+        spec, t = sn.spec, sn.terms
         problems = []
         if spec.filter > cfg.filter_max:
             problems.append(f"filter {spec.filter} exceeds FILTER_MAX={cfg.filter_max}")
-        row_bytes = (x + 2 * spec.padding) * ci
-        if row_bytes > cfg.win_x_chin_pad_max:
+        if t.row_bytes > cfg.win_x_chin_pad_max:
             problems.append(
-                f"input row of {row_bytes} bytes exceeds WINxCHIN_PAD_MAX={cfg.win_x_chin_pad_max}"
+                f"input row of {t.row_bytes} bytes exceeds "
+                f"WINxCHIN_PAD_MAX={cfg.win_x_chin_pad_max}"
             )
-        window_bytes = spec.filter * spec.filter * ci
-        if window_bytes > cfg.filter_x_filter_x_chin_max:
+        if t.per_out_bytes > cfg.filter_x_filter_x_chin_max:
             problems.append(
-                f"window of {window_bytes} bytes exceeds "
+                f"window of {t.per_out_bytes} bytes exceeds "
                 f"FILTERxFILTERxCHIN_MAX={cfg.filter_x_filter_x_chin_max}"
             )
         if spec.pool is not None:
-            ho, wo = conv_out_dims(h, x, spec)
-            pool_row = wo * spec.co
-            if pool_row > cfg.pwin_x_pch_max:
+            if t.pool_row > cfg.pwin_x_pch_max:
                 problems.append(
-                    f"pool row of {pool_row} bytes exceeds PWINxPCH_MAX={cfg.pwin_x_pch_max}"
+                    f"pool row of {t.pool_row} bytes exceeds PWINxPCH_MAX={cfg.pwin_x_pch_max}"
                 )
             if spec.co > cfg.pch_max:
                 problems.append(f"pool pixel of {spec.co} bytes exceeds PCH_MAX={cfg.pch_max}")
         groups = 0
         if not problems:
             try:
-                groups = plan_split((spec.co, spec.filter, spec.filter, ci), cfg).restreams
+                groups = split_groups(spec.co, t.per_out_bytes, cfg)[1]
             except ConfigTooSmallError as exc:
                 problems.append(str(exc))
         if problems:
@@ -684,8 +676,9 @@ def run_network(
         raise ValidationError(
             f"input frac_bits {input_tensor.frac_bits} != declared {net.input_frac}"
         )
+    known = {INPUT_ID, *(n.id for n in net.nodes)}
     for want in emits:
-        if want != INPUT_ID and want not in net._by_id:
+        if want not in known:
             raise ValidationError(f"requested output {want!r} is not a node id")
 
     report = perf.network_perf(net, cfg, calib)

@@ -2,10 +2,15 @@
 
 Everything here is deliberately naive pure Python over flat lists:
 nested loops, divmod-based rounding, no numpy and no shared code with
-the package. The engine must match these bit-exactly.
+the package. The engine must match these bit-exactly.  The one exception
+is conv_cycles_ref, which walks engine.plan_split's groups on purpose:
+the cost model's closed-form compute term must equal the sum over the
+secondary convolutions that execution actually runs.
 """
 
-from convaccel import DfpScheme, LayerSpec, QFilterBank, QTensor3
+from convaccel import DfpScheme, LayerSpec, QFilterBank, QTensor3, plan_split
+from convaccel.errors import ShapeError
+from convaccel.perf import LayerCycles
 
 
 def shift_round_ref(value: int, shift: int) -> int:
@@ -119,3 +124,40 @@ def check_plan(plan, bank_geom: tuple[int, int, int, int], cfg) -> None:
         cursor = hi
     if cursor != co:
         raise ValueError(f"groups cover [0, {cursor}) but co={co}")
+
+
+def conv_cycles_ref(spec: LayerSpec, in_geom, cfg, calib) -> LayerCycles:
+    """The per-layer cycle model, with compute summed group by group over plan_split.
+
+    Raises what the model raises, in its order: ShapeError for the filter,
+    ConfigTooSmallError from plan_split, then ShapeError for the pool.
+    """
+
+    def ceil_div(a, b):
+        return (a + b - 1) // b
+
+    h, x, ci = in_geom
+    f, s, p, co = spec.filter, spec.stride, spec.padding, spec.co
+    ho = (h + 2 * p - f) // s + 1
+    wo = (x + 2 * p - f) // s + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError("input too small for the filter")
+    plan = plan_split((co, f, f, ci), cfg)
+
+    tile = f * f * ceil_div(ci, cfg.icp)
+    compute = calib.k_layer
+    for lo, hi in plan.groups:
+        compute += ho * wo * (ceil_div(hi - lo, cfg.ocp) * tile + calib.k_pipe)
+
+    transfer_in = plan.restreams * ceil_div(h * x * ci, cfg.apack)
+    param = ceil_div(co * f * f * ci, cfg.ppack) + ceil_div(co, cfg.apack)
+
+    hp, wp, pool = ho, wo, 0
+    if spec.pool is not None:
+        w = spec.pool.window
+        if ho < w or wo < w:
+            raise ShapeError("convolution output smaller than the pool window")
+        hp, wp = (ho - w) // 2 + 1, (wo - w) // 2 + 1
+        pool = hp * wp * w * w * ceil_div(co, cfg.apack) + calib.k_pool
+    writeback = ceil_div(hp * wp * co, cfg.apack)
+    return LayerCycles(compute, transfer_in, param, writeback, pool, plan.restreams)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from conftest import DATA_DIR
-from convaccel import load_calibration, load_config, parse_network, validate
+from convaccel import load_calibration, load_config, network_perf, parse_network, validate
 from convaccel.config import DEFAULT_CALIBRATION
 
 NET_MACS_M = {
@@ -17,6 +17,44 @@ NET_MACS_M = {
     "zynqnet": 452.6,
     "peleenet": 519.9,
     "vgg16": 15346.6,
+}
+
+# Per network, per conf1..conf6: summed layer total cycles, summed
+# restreams, layers that validate splits, and end_to_end_ms exactly (the
+# float pins the per-layer division and summation order too).
+PINNED_PERF = {
+    "squeezenet_v11": (
+        (4490098, 27, 1, 46.548679456),
+        (2742198, 27, 1, 29.069679456000003),
+        (2566104, 27, 1, 27.308739456000005),
+        (2065012, 27, 1, 22.297819456),
+        (2065012, 27, 1, 11.972759456),
+        (2065012, 27, 1, 8.531072789333333),
+    ),
+    "zynqnet": (
+        (6164900, 29, 2, 64.330372672),
+        (3917604, 29, 2, 41.85741267200001),
+        (3566466, 29, 2, 38.34603267199999),
+        (2912322, 29, 2, 31.804592672000005),
+        (2912322, 29, 2, 17.242982672000004),
+        (2912322, 29, 2, 12.389112672),
+    ),
+    "peleenet": (
+        (7227540, 115, 1, 76.82488531199998),
+        (5013230, 115, 1, 54.68178531199995),
+        (4723336, 115, 1, 51.78284531199995),
+        (3905722, 115, 1, 43.60670531200002),
+        (3905722, 115, 1, 24.078095312000006),
+        (3905722, 115, 1, 17.568558645333326),
+    ),
+    "vgg16": (
+        (127816184, 53, 8, 1448.2831376640002),
+        (66400760, 53, 8, 834.1288976640001),
+        (64921316, 53, 8, 819.334457664),
+        (35116772, 53, 8, 521.2890176640001),
+        (35116772, 53, 8, 345.705157664),
+        (35116772, 53, 8, 287.17720433066665),
+    ),
 }
 
 
@@ -44,6 +82,25 @@ def test_networks_parse_and_pin_mac_totals(path):
 def test_every_network_legal_under_every_config(net_path, cfg_path):
     report = validate(parse_network(net_path), load_config(cfg_path))
     assert report.ok, str(report)
+
+
+@pytest.mark.parametrize("path", _nets())
+def test_pinned_cycles_restreams_and_verdicts(path):
+    net = parse_network(path)
+    got = []
+    for cfg_path in _cfgs():
+        cfg = load_config(cfg_path)
+        report, legality = network_perf(net, cfg), validate(net, cfg)
+        assert [r.groups for r in legality.rows] == [l.cycles.restreams for l in report.layers]
+        got.append(
+            (
+                sum(l.cycles.total_cycles for l in report.layers),
+                sum(l.cycles.restreams for l in report.layers),
+                sum(r.verdict == "split" for r in legality.rows),
+                report.end_to_end_ms,
+            )
+        )
+    assert tuple(got) == PINNED_PERF[net.name]
 
 
 def test_config_walk_matches_tuning_path():

@@ -142,6 +142,41 @@ def test_dominance_marks_match_bruteforce():
     assert got == keep
 
 
+def test_pareto_front_with_ties_matches_bruteforce():
+    # Few distinct values per objective: duplicate tuples and one-objective ties.
+    rng = seeded(317)
+    pts = []
+    for i in range(60):
+        metrics = {
+            "latency": rng.choice((1.0, 2.0, 3.0)),
+            "dsp": rng.choice((10, 20)),
+            "power": rng.choice((1.5, 2.5)),
+        }
+        pts.append(DesignPoint({"FREQ": 100 + i}, None, metrics, True))
+    rows = [tuple(p.metrics[o] for o in OBJS) for p in pts]
+    front = pareto_front(pts, OBJS)
+    assert {pts.index(p) for p in front} == pareto_ref(rows)
+    assert len(front) > len({tuple(p.metrics[o] for o in OBJS) for p in front})
+    assert front == sorted(front, key=lambda p: (*(p.metrics[o] for o in OBJS), p.fields["FREQ"]))
+
+
+def test_enumerated_dominated_flags_with_ties_match_bruteforce():
+    # PE_DSP moves dsp but not latency, OCP both, WINxCHIN_PAD_MAX neither.
+    spec = _spec(
+        axes={
+            "OCP": (8, 16),
+            "PE_DSP": (4, 8),
+            "ICP": (16, 32),
+            "WINxCHIN_PAD_MAX": (1 << 20, 1 << 21),
+        },
+        objectives=("latency", "dsp"),
+    )
+    feasible = [p for p in enumerate_points(spec) if p.feasible]
+    rows = [tuple(p.metrics[o] for o in spec.objectives) for p in feasible]
+    assert len(set(rows)) < len(rows)
+    assert {i for i, p in enumerate(feasible) if not p.dominated} == pareto_ref(rows)
+
+
 def test_pareto_trivials():
     rng = seeded(311)
     one = _synthetic_points(rng, 1)

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded, wide_open_config
 from convaccel import Calibration, DfpScheme, LayerSpec, PoolSpec, estimate_resources
 from convaccel.engine import conv_out_dims
-from convaccel.errors import ConfigTooSmallError
-from convaccel.perf import conv_cycles, mpool_cycles
+from convaccel.errors import ConfigTooSmallError, ShapeError
+from convaccel.graph import ConvNode, NetworkGraph, validate
+from convaccel.perf import conv_cycles, network_perf
+from reference import conv_cycles_ref
 
 ZERO_CAL = Calibration(k_pipe=0, k_layer=0, k_pool=0)
 SCHEME = DfpScheme(4, 4, 4, 4)
@@ -51,15 +55,16 @@ def test_pipeline_constants_enter_compute():
     assert with_k.compute_cycles == base.compute_cycles + 64 * 5 + 100
 
 
-def test_mpool_cycles_formula():
+def test_pool_cycles_formula():
+    # A 1x1 convolution keeps the 4x4 map, so the pool runs over (4, 4, 8).
     cfg = wide_open_config(apack=8)
-    assert mpool_cycles((4, 4, 8), PoolSpec(2), cfg, ZERO_CAL) == 2 * 2 * 4 * 1
-    assert mpool_cycles((4, 4, 8), None, cfg, ZERO_CAL) == 0
+    assert conv_cycles(_spec(pool=PoolSpec(2)), (4, 4, 1), cfg, ZERO_CAL).pool_cycles == 2 * 2 * 4
+    assert conv_cycles(_spec(), (4, 4, 1), cfg, ZERO_CAL).pool_cycles == 0
     cal = Calibration(k_pool=9)
-    assert mpool_cycles((4, 4, 8), PoolSpec(2), cfg, cal) == 16 + 9
+    assert conv_cycles(_spec(pool=PoolSpec(2)), (4, 4, 1), cfg, cal).pool_cycles == 16 + 9
 
 
-def test_mpool_cycles_scale_with_channel_tiles():
+def test_pool_cycles_scale_with_channel_tiles():
     rng = seeded(61)
     cfg = wide_open_config(apack=8)
     for _ in range(40):
@@ -69,7 +74,7 @@ def test_mpool_cycles_scale_with_channel_tiles():
         w = rng.choice((2, 3))
         if h < w or x < w:
             continue
-        got = mpool_cycles((h, x, c), PoolSpec(w), cfg, ZERO_CAL)
+        got = conv_cycles(_spec(co=c, pool=PoolSpec(w)), (h, x, 1), cfg, ZERO_CAL).pool_cycles
         ho, wo = (h - w) // 2 + 1, (x - w) // 2 + 1
         assert got == ho * wo * w * w * -(-c // 8)
 
@@ -89,6 +94,59 @@ def test_unsupported_layer_raises():
     cfg = wide_open_config(chout_x_filter_x_filter_x_chin_max=10)
     with pytest.raises(ConfigTooSmallError):
         conv_cycles(_spec(f=3, co=4), (8, 8, 8), cfg, ZERO_CAL)
+
+
+_POW2 = st.sampled_from((1, 2, 4, 8, 16, 32, 64))
+
+
+@given(
+    co=st.integers(1, 300),
+    ci=st.integers(1, 600),
+    f=st.sampled_from((1, 3)),
+    stride=st.sampled_from((1, 2)),
+    pad=st.sampled_from((0, 1)),
+    pool=st.sampled_from((None, 2, 3)),
+    h=st.integers(1, 80),
+    x=st.integers(1, 80),
+    icp=_POW2,
+    ocp=_POW2,
+    apack=_POW2,
+    ppack=_POW2,
+    chout_max=st.integers(1, 400),
+    budget=st.integers(1, 1 << 18),
+    k=st.tuples(st.integers(0, 100), st.integers(0, 10000), st.integers(0, 100)),
+)
+# The weight budget binds first: ConfigTooSmallError, not the pool's ShapeError.
+@example(194, 461, 3, 2, 0, 3, 6, 68, 16, 8, 8, 8, 256, 4000, (12, 6800, 16))
+@settings(max_examples=400, deadline=None)
+def test_closed_form_matches_group_sum(
+    co, ci, f, stride, pad, pool, h, x, icp, ocp, apack, ppack, chout_max, budget, k
+):
+    pad = pad if f == 3 else 0
+    spec = LayerSpec(f, stride, pad, co, False, pool and PoolSpec(pool), SCHEME)
+    cfg = wide_open_config(
+        icp=icp,
+        ocp=ocp,
+        pe_dsp=0,
+        apack=apack,
+        ppack=ppack,
+        chout_max=chout_max,
+        chout_x_filter_x_filter_x_chin_max=budget,
+    )
+    cal = Calibration(k_pipe=k[0], k_layer=k[1], k_pool=k[2])
+    try:
+        want = conv_cycles_ref(spec, (h, x, ci), cfg, cal)
+    except (ConfigTooSmallError, ShapeError) as exc:
+        with pytest.raises((ConfigTooSmallError, ShapeError)) as got:
+            conv_cycles(spec, (h, x, ci), cfg, cal)
+        assert got.type is type(exc)
+        return
+    assert conv_cycles(spec, (h, x, ci), cfg, cal) == want
+    # The graph path: terms stored at shape inference, groups counted by validate.
+    node = ConvNode("c", f, stride, pad, co, False, spec.pool, 4, 4, 4, None, ("input",))
+    net = NetworkGraph("one", (h, x, ci), 4, [node])
+    assert network_perf(net, cfg, cal).layers[0].cycles == want
+    assert validate(net, cfg).rows[0].groups in (0, want.restreams)
 
 
 def test_split_coherence_transfer_proportional_to_restreams():
