@@ -14,7 +14,7 @@ from .engine import (
 )
 from .graph import NetworkGraph, parse_network, reshape_first_layer, run_network, validate
 from .perf import PerfReport, ResourceReport, conv_cycles, estimate_resources, network_perf
-from .quant import DfpScheme, choose_frac_bits, dequantize, quantize, rescale_acc
+from .quant import DfpScheme, choose_frac_bits, dequantize, quantize
 from .tensors import (
     FFilterBank,
     FTensor3,
@@ -57,7 +57,6 @@ __all__ = [
     "parse_network",
     "plan_split",
     "quantize",
-    "rescale_acc",
     "reshape_first_layer",
     "run_network",
     "save_bank",

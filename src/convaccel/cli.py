@@ -1,7 +1,7 @@
 """Command-line interface: quantize, validate, run, estimate, sweep.
 
 Exit codes: 0 success, 2 parse/format error, 3 validation error,
-4 load error (missing or mismatched artifact), 5 internal error.
+4 load error (missing, unreadable or mismatched artifact), 5 internal error.
 A reader that closes stdout early (``convaccel estimate ... | head``)
 ends the command quietly with exit 0.
 All reports are deterministic: fixed float precision, no timestamps.
@@ -19,7 +19,6 @@ from .config import DEFAULT_CALIBRATION, load_calibration, load_config
 from .errors import (
     AccelError,
     ConfigTooSmallError,
-    CorruptionError,
     FormatError,
     LoadError,
     ParseError,
@@ -33,9 +32,8 @@ from .tensors import (
     FFilterBank,
     FTensor3,
     QFilterBank,
-    load_bank_any,
+    load_any,
     load_tensor,
-    load_tensor_any,
     save_bank,
     save_tensor,
 )
@@ -79,32 +77,23 @@ def _resource_lines(res):
 
 
 def cmd_quantize(args) -> int:
+    def frac_bits(data):
+        return args.frac_bits if args.frac_bits is not None else choose_frac_bits(data)
+
     os.makedirs(args.out_dir, exist_ok=True)
     for path in args.files:
-        if not os.path.exists(path):
-            raise LoadError(f"file not found: {path}")
-        try:
-            obj = load_bank_any(path) if path.endswith(".qfb") else load_tensor_any(path)
-        except FormatError:
-            # Extension did not identify the kind; try the other parser.
-            obj = load_tensor_any(path) if path.endswith(".qfb") else load_bank_any(path)
+        obj = load_any(path)
         out_path = os.path.join(args.out_dir, os.path.basename(path))
         try:
             if isinstance(obj, FTensor3):
-                f = args.frac_bits if args.frac_bits is not None else choose_frac_bits(obj.values)
+                f = frac_bits(obj.values)
                 q = quantize(obj, f)
                 save_tensor(q, out_path)
                 m = float(abs(obj.values).max()) if obj.values.size else 0.0
                 print(f"{path}: tensor max_abs={m:.6g} frac_bits={f}")
             elif isinstance(obj, FFilterBank):
-                wf = (
-                    args.frac_bits
-                    if args.frac_bits is not None
-                    else choose_frac_bits(obj.weights)
-                )
-                bf = (
-                    args.frac_bits if args.frac_bits is not None else choose_frac_bits(obj.biases)
-                )
+                wf = frac_bits(obj.weights)
+                bf = frac_bits(obj.biases)
                 wq = quantize(FTensor3(1, 1, obj.weights.size, obj.weights), wf)
                 bq = quantize(FTensor3(1, 1, obj.co, obj.biases), bf)
                 bank = QFilterBank(obj.co, obj.fh, obj.fw, obj.ci, wq.values, bq.values, wf, bf)
@@ -136,9 +125,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    for path in (args.net, args.config, args.input, args.calibration):
-        if path and not os.path.exists(path):
-            raise LoadError(f"file not found: {path}")
     net = parse_network(args.net)
     cfg = load_config(args.config)
     calib = _calibration(args.calibration)
@@ -247,7 +233,7 @@ def main(argv=None) -> int:
         # so the final flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ParseError, FormatError, CorruptionError) as exc:
+    except (ParseError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValidationError, ConfigTooSmallError, SweepCapError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import ParseError
+from .errors import ParseError, open_input
 
 CONFIG_KEYS = {
     "FREQ": "freq_mhz",
@@ -80,15 +80,6 @@ class AccelConfig:
                 raise ValueError(f"{FIELD_TO_KEY[key]} must be positive")
 
     @property
-    def pes(self) -> int:
-        """Number of processing elements (one per parallel output channel)."""
-        return self.ocp
-
-    @property
-    def macs_per_cycle(self) -> int:
-        return self.icp * self.ocp
-
-    @property
     def ocm_bytes(self) -> int:
         """Total on-chip buffer bytes; double-buffered stores counted twice."""
         return (
@@ -144,16 +135,30 @@ class Calibration:
 DEFAULT_CALIBRATION = Calibration()
 
 
+def text_lines(path):
+    """Yield (line_no, text) for each non-blank line of a UTF-8 text file, '#' comments cut.
+
+    Undecodable bytes are a ParseError and an unreadable path a LoadError.
+    """
+    try:
+        with open_input(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line_no, f"not UTF-8 text ({exc.reason})") from None
+    # Text mode already turned every line ending into "\n".
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
 def _kv_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(path, line_no, f"expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            yield line_no, key, value
+    for line_no, line in text_lines(path):
+        if "=" not in line:
+            raise ParseError(path, line_no, f"expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield line_no, key, value
 
 
 def load_config(path) -> AccelConfig:

@@ -24,7 +24,14 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-from .config import CONFIG_KEYS, AccelConfig, Calibration, DEFAULT_CALIBRATION, load_config
+from .config import (
+    CONFIG_KEYS,
+    AccelConfig,
+    Calibration,
+    DEFAULT_CALIBRATION,
+    load_config,
+    text_lines,
+)
 from .errors import ParseError, SweepCapError
 from .graph import NetworkGraph, parse_network, validate
 from .perf import estimate_resources, network_perf
@@ -250,55 +257,51 @@ def load_sweep(path) -> SweepSpec:
         except ValueError:
             raise ParseError(path, line_no, f"bad value {text!r} for {param}") from None
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            head, rest = parts[0], parts[1:]
-            if head == "base":
-                base = load_config(os.path.join(base_dir, " ".join(rest)))
-            elif head == "workload":
-                workloads.append(parse_network(os.path.join(base_dir, " ".join(rest))))
-            elif head == "axis":
-                if len(rest) < 2:
-                    raise ParseError(path, line_no, "axis needs a parameter and values")
-                param = rest[0]
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        head, rest = parts[0], parts[1:]
+        if head == "base":
+            base = load_config(os.path.join(base_dir, " ".join(rest)))
+        elif head == "workload":
+            workloads.append(parse_network(os.path.join(base_dir, " ".join(rest))))
+        elif head == "axis":
+            if len(rest) < 2:
+                raise ParseError(path, line_no, "axis needs a parameter and values")
+            param = rest[0]
+            if param not in CONFIG_KEYS:
+                raise ParseError(path, line_no, f"unknown parameter {param!r}")
+            axes[param] = tuple(parse_value(param, v, line_no) for v in rest[1:])
+        elif head == "point":
+            fields = {}
+            for item in rest:
+                if "=" not in item:
+                    raise ParseError(path, line_no, f"expected PARAM=value, got {item!r}")
+                param, value = item.split("=", 1)
                 if param not in CONFIG_KEYS:
                     raise ParseError(path, line_no, f"unknown parameter {param!r}")
-                axes[param] = tuple(parse_value(param, v, line_no) for v in rest[1:])
-            elif head == "point":
-                fields = {}
-                for item in rest:
-                    if "=" not in item:
-                        raise ParseError(path, line_no, f"expected PARAM=value, got {item!r}")
-                    param, value = item.split("=", 1)
-                    if param not in CONFIG_KEYS:
-                        raise ParseError(path, line_no, f"unknown parameter {param!r}")
-                    fields[param] = parse_value(param, value, line_no)
-                points.append(fields)
-            elif head == "constraint":
-                if len(rest) != 2 or rest[0] not in CONSTRAINT_KEYS:
-                    raise ParseError(
-                        path, line_no, f"constraint takes one of {CONSTRAINT_KEYS} and a value"
-                    )
-                try:
-                    constraints[rest[0]] = _finite(rest[1])
-                except ValueError:
-                    raise ParseError(path, line_no, f"bad constraint value {rest[1]!r}") from None
-            elif head == "objective":
-                for obj in rest:
-                    if obj not in OBJECTIVES:
-                        raise ParseError(path, line_no, f"unknown objective {obj!r}")
-                    objectives.append(obj)
-            elif head == "cap":
-                try:
-                    cap = int(rest[0])
-                except (IndexError, ValueError):
-                    raise ParseError(path, line_no, "cap takes one integer") from None
-            else:
-                raise ParseError(path, line_no, f"unknown directive {head!r}")
+                fields[param] = parse_value(param, value, line_no)
+            points.append(fields)
+        elif head == "constraint":
+            if len(rest) != 2 or rest[0] not in CONSTRAINT_KEYS:
+                raise ParseError(
+                    path, line_no, f"constraint takes one of {CONSTRAINT_KEYS} and a value"
+                )
+            try:
+                constraints[rest[0]] = _finite(rest[1])
+            except ValueError:
+                raise ParseError(path, line_no, f"bad constraint value {rest[1]!r}") from None
+        elif head == "objective":
+            for obj in rest:
+                if obj not in OBJECTIVES:
+                    raise ParseError(path, line_no, f"unknown objective {obj!r}")
+                objectives.append(obj)
+        elif head == "cap":
+            try:
+                cap = int(rest[0])
+            except (IndexError, ValueError):
+                raise ParseError(path, line_no, "cap takes one integer") from None
+        else:
+            raise ParseError(path, line_no, f"unknown directive {head!r}")
     if base is None:
         raise ParseError(path, 0, "a base config is required")
     if not objectives:

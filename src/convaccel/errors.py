@@ -48,3 +48,11 @@ class LoadError(AccelError):
 
 class SweepCapError(AccelError):
     """A sweep enumerates more design points than the configured cap."""
+
+
+def open_input(path, mode="rb", **kwargs):
+    """open() for a file the user named; an OSError becomes a LoadError naming the path."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise LoadError(f"cannot read {path}: {exc.strerror}") from None

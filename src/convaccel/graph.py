@@ -25,12 +25,12 @@ quantization chain is consistent by construction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import perf
-from .config import AccelConfig, Calibration, DEFAULT_CALIBRATION
+from .config import AccelConfig, Calibration, DEFAULT_CALIBRATION, text_lines
 from .engine import (
     LayerSpec,
     PoolSpec,
@@ -304,33 +304,29 @@ def parse_network(path) -> NetworkGraph:
     input_geom = None
     input_frac = None
     nodes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            head = parts[0]
-            if head == "network":
-                if len(parts) != 2:
-                    raise ParseError(path, line_no, "network takes one name")
-                name = parts[1]
-            elif head == "input":
-                if len(parts) != 4:
-                    raise ParseError(path, line_no, "input takes H X C")
-                try:
-                    input_geom = tuple(int(v) for v in parts[1:])
-                except ValueError:
-                    raise ParseError(path, line_no, "input dims must be integers") from None
-            elif head == "input_frac":
-                try:
-                    input_frac = int(parts[1])
-                except (IndexError, ValueError):
-                    raise ParseError(path, line_no, "input_frac takes one integer") from None
-            elif head == "node":
-                nodes.append(_parse_node(parts[1:], path, line_no))
-            else:
-                raise ParseError(path, line_no, f"unknown directive {head!r}")
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        head = parts[0]
+        if head == "network":
+            if len(parts) != 2:
+                raise ParseError(path, line_no, "network takes one name")
+            name = parts[1]
+        elif head == "input":
+            if len(parts) != 4:
+                raise ParseError(path, line_no, "input takes H X C")
+            try:
+                input_geom = tuple(int(v) for v in parts[1:])
+            except ValueError:
+                raise ParseError(path, line_no, "input dims must be integers") from None
+        elif head == "input_frac":
+            try:
+                input_frac = int(parts[1])
+            except (IndexError, ValueError):
+                raise ParseError(path, line_no, "input_frac takes one integer") from None
+        elif head == "node":
+            nodes.append(_parse_node(parts[1:], path, line_no))
+        else:
+            raise ParseError(path, line_no, f"unknown directive {head!r}")
     if name is None or input_geom is None or input_frac is None:
         raise ParseError(path, 0, "network, input, and input_frac headers are required")
     try:
@@ -523,16 +519,7 @@ class ReshapeTransform:
         """Execute the folded layer; bit-exact equal to accel_exec on the original."""
         folded = self.fold_input(ia)
         folded_bank = self.fold_bank(bank)
-        conv_spec = LayerSpec(
-            self.reshaped_spec.filter,
-            self.reshaped_spec.stride,
-            self.reshaped_spec.padding,
-            self.reshaped_spec.co,
-            self.reshaped_spec.relu,
-            None,
-            self.reshaped_spec.scheme,
-        )
-        out = conv_exec(folded, folded_bank, conv_spec)
+        out = conv_exec(folded, folded_bank, replace(self.reshaped_spec, pool=None))
         ho, wo = self.crop
         if (out.height, out.width) != (ho, wo):
             cropped = out.as_3d()[:ho, :wo]
@@ -577,32 +564,22 @@ class ReshapeTransform:
         return taps * ci * spec.co
 
 
-def default_reshape_trigger(spec: LayerSpec, in_geom, icp: int) -> bool:
-    """Reshape layers whose input channels underfill the multiplier array."""
-    return spec.stride >= 2 and in_geom[2] < icp / 2
-
-
 def reshape_first_layer(
-    spec: LayerSpec, in_geom: tuple[int, int, int], icp: int, trigger=None
+    spec: LayerSpec, in_geom: tuple[int, int, int], icp: int
 ) -> ReshapeTransform | None:
     """Build the fold transform for a first layer, or None when not applicable.
 
-    Folding turns a stride-2 kxk layer over (H, X, C) into a stride-1
-    layer over (ceil(H/2), ceil(X/2), 4C) whose kernel spans ceil(k/2)
-    folded cells; MAC count over real positions is conserved.
+    Folding applies to stride-2 layers whose input channels underfill the
+    multiplier array (Ci < ICP/2).  It turns a stride-2 kxk layer over
+    (H, X, C) into a stride-1 layer over (ceil(H/2), ceil(X/2), 4C) whose
+    kernel spans ceil(k/2) folded cells; MAC count over real positions is
+    conserved.
     """
-    trigger = trigger or default_reshape_trigger
-    if not trigger(spec, in_geom, icp):
+    if spec.stride < 2 or in_geom[2] >= icp / 2:
         return None
     h, x, ci = in_geom
     conv_out_dims(h, x, spec)  # geometry sanity before transforming
     fold = spec.stride
-    if fold == 1:
-        # Degenerate fold: the transform is the identity.
-        tap_map = {i: (i, 0) for i in range(spec.filter)}
-        return ReshapeTransform(
-            spec, in_geom, spec, in_geom, 1, tap_map, conv_out_dims(h, x, spec), spec.filter
-        )
     tap_map = _TAP_MAPS[(spec.filter, spec.padding)]
     folded_geom = ((h + 1) // 2, (x + 1) // 2, ci * fold * fold)
     if spec.filter == 1:
@@ -630,10 +607,7 @@ def _round_half_away_int(total: int, n: int) -> int:
 def _load_params(node, base_dir) -> QFilterBank:
     if not node.params:
         raise LoadError(f"{node.id}: no parameter file declared")
-    path = os.path.join(base_dir, node.params)
-    if not os.path.exists(path):
-        raise LoadError(f"{node.id}: parameter file {path} not found")
-    return load_bank(path)
+    return load_bank(os.path.join(base_dir, node.params))
 
 
 def _load_conv_bank(node: ConvNode, base_dir, in_ci: int) -> QFilterBank:

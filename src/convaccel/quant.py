@@ -5,6 +5,8 @@ max-abs driven: the largest f with max|x| * 2**f <= 127.  Rounding is
 half-away-from-zero everywhere.  Convolution accumulators are 32-bit;
 products are 16-bit; both are assumed never to overflow, and the
 simulator raises AccumulatorOverflow instead of wrapping if they do.
+``rescale_block`` is the one rescale path, over whole numpy blocks; the
+naive scalar oracle it must match bit for bit lives in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -80,46 +82,6 @@ def dequantize(t: QTensor3) -> FTensor3:
     )
 
 
-def shift_round(value: int, shift: int) -> int:
-    """Scale an integer by 2**-shift.
-
-    shift > 0: right shift with half-away-from-zero rounding.
-    shift <= 0: exact left shift (pure integer doubling).
-    """
-    if shift <= 0:
-        return value << -shift
-    half = 1 << (shift - 1)
-    if value >= 0:
-        return (value + half) >> shift
-    return -((-value + half) >> shift)
-
-
-def _check_i32(value: int, what: str) -> None:
-    if not I32_MIN <= value <= I32_MAX:
-        raise AccumulatorOverflow(f"{what} {value} outside 32-bit range")
-
-
-def saturate_i8(value: int) -> int:
-    return I8_MAX if value > I8_MAX else I8_MIN if value < I8_MIN else value
-
-
-def rescale_acc(acc: int, scheme: DfpScheme, bias_raw: int = 0) -> int:
-    """Bring a 32-bit MAC sum down to an int8 output value.
-
-    The accumulator carries scale 2**-(fi+fp) and the bias 2**-fb; both
-    addends are shifted to the output scale, combined in 32 bits, and
-    saturated once.
-    """
-    acc = int(acc)
-    _check_i32(acc, "accumulator")
-    a = shift_round(acc, scheme.input_frac + scheme.weight_frac - scheme.output_frac)
-    b = shift_round(int(bias_raw), scheme.bias_frac - scheme.output_frac)
-    _check_i32(a, "rescaled accumulator")
-    _check_i32(b, "rescaled bias")
-    _check_i32(a + b, "rescaled sum")
-    return saturate_i8(a + b)
-
-
 def _shift_round_block(values: np.ndarray, shift: int) -> np.ndarray:
     if shift <= 0:
         return values << -shift
@@ -128,10 +90,15 @@ def _shift_round_block(values: np.ndarray, shift: int) -> np.ndarray:
 
 
 def rescale_block(acc: np.ndarray, scheme: DfpScheme, biases: np.ndarray) -> np.ndarray:
-    """Vectorized rescale_acc over an (..., co) int64 accumulator block.
+    """Bring an (..., co) block of 32-bit MAC sums down to int8 output values.
 
-    ``biases`` broadcasts along the last axis.  Bit-exact with the scalar
-    path; the engine uses this, tests cross-check the two.
+    The accumulator carries scale 2**-(fi+fp) and the bias 2**-fb; both
+    addends are shifted to the output scale, combined in 32 bits, and
+    saturated once.  ``biases`` broadcasts along the last axis.  The
+    accumulator, the shifted accumulator and the sum are checked against
+    the 32-bit range.  The shifted bias needs no check of its own: DfpScheme
+    bounds every exponent to [FRAC_MIN, FRAC_MAX] = [-8, 15], so the bias
+    shifts left by at most 23 and |b| <= 2**7 * 2**23 = 2**30.
     """
     if acc.size and (acc.min() < I32_MIN or acc.max() > I32_MAX):
         raise AccumulatorOverflow("accumulator outside 32-bit range")

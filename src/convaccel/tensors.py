@@ -11,12 +11,14 @@ All objects are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ShapeError
+from .errors import CorruptionError, FormatError, ShapeError, open_input
 
 I8_MIN = -128
 I8_MAX = 127
@@ -256,11 +258,28 @@ def _read_exact(fh, n, path, what):
     return data
 
 
+def _check_header(path, magic, expected, version, kind, dims):
+    if magic != expected:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {expected!r}")
+    if version != FILE_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if kind not in (KIND_INT8, KIND_FLOAT32):
+        raise FormatError(f"{path}: unknown element kind {kind}")
+    if min(dims) < 1:
+        raise FormatError(f"{path}: zero dimension in header {dims}")
+
+
 def _payload(fh, kind, count, path):
+    # Check the claimed size against a regular file before reading, so a header alone
+    # cannot force a large allocation; a pipe has no size, and _read_exact catches it short.
+    nbytes = count if kind == KIND_INT8 else 4 * count
+    st = os.fstat(fh.fileno())
+    left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else nbytes
+    if nbytes > left:
+        raise CorruptionError(f"{path}: truncated payload ({left} of {nbytes} bytes)")
+    raw = _read_exact(fh, nbytes, path, "payload")
     if kind == KIND_INT8:
-        raw = _read_exact(fh, count, path, "payload")
         return np.frombuffer(raw, dtype=np.int8)
-    raw = _read_exact(fh, 4 * count, path, "payload")
     return np.frombuffer(raw, dtype="<f4").astype(np.float64)
 
 
@@ -282,17 +301,10 @@ def save_tensor(t: QTensor3 | FTensor3, path) -> None:
 
 def load_tensor_any(path) -> QTensor3 | FTensor3:
     """Load a tensor file of either element kind."""
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         header = _read_exact(fh, _TENSOR_HEADER.size, path, "header")
         magic, version, kind, frac, h, x, c = _TENSOR_HEADER.unpack(header)
-        if magic != TENSOR_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-        if version != FILE_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if kind not in (KIND_INT8, KIND_FLOAT32):
-            raise FormatError(f"{path}: unknown element kind {kind}")
-        if min(h, x, c) < 1:
-            raise FormatError(f"{path}: zero dimension in header ({h}, {x}, {c})")
+        _check_header(path, magic, TENSOR_MAGIC, version, kind, (h, x, c))
         vals = _payload(fh, kind, h * x * c, path)
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after payload")
@@ -328,17 +340,10 @@ def save_bank(bank: QFilterBank | FFilterBank, path) -> None:
 
 
 def load_bank_any(path) -> QFilterBank | FFilterBank:
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         header = _read_exact(fh, _BANK_HEADER.size, path, "header")
         magic, version, kind, wf, bf, co, fhh, fww, ci = _BANK_HEADER.unpack(header)
-        if magic != BANK_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {BANK_MAGIC!r}")
-        if version != FILE_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if kind not in (KIND_INT8, KIND_FLOAT32):
-            raise FormatError(f"{path}: unknown element kind {kind}")
-        if min(co, fhh, fww, ci) < 1:
-            raise FormatError(f"{path}: zero dimension in header")
+        _check_header(path, magic, BANK_MAGIC, version, kind, (co, fhh, fww, ci))
         weights = _payload(fh, kind, co * fhh * fww * ci, path)
         biases = _payload(fh, kind, co, path)
         if fh.read(1):
@@ -353,3 +358,10 @@ def load_bank(path) -> QFilterBank:
     if not isinstance(bank, QFilterBank):
         raise FormatError(f"{path}: holds float data, expected a quantized filter bank")
     return bank
+
+
+def load_any(path) -> QTensor3 | FTensor3 | QFilterBank | FFilterBank:
+    """Load a tensor or a filter-bank file; the magic tells which."""
+    with open_input(path) as fh:
+        magic = fh.read(len(BANK_MAGIC))
+    return load_bank_any(path) if magic == BANK_MAGIC else load_tensor_any(path)

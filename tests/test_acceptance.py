@@ -162,7 +162,7 @@ def test_criterion_3_reshape_equivalence():
         ho, wo = conv_out_dims(h, x, spec)
         if rng.random() < 0.3 and ho >= 3 and wo >= 3:
             spec = LayerSpec(f, 2, p, co, spec.relu, PoolSpec(rng.choice((2, 3))), scheme)
-        transform = reshape_first_layer(spec, (h, x, ci), icp=32, trigger=lambda *a: True)
+        transform = reshape_first_layer(spec, (h, x, ci), icp=32)
         assert transform is not None
         ia = random_tensor(rng, h, x, ci, frac=scheme.input_frac)
         bank = random_bank(rng, co, f, ci, wf=scheme.weight_frac, bf=scheme.bias_frac)

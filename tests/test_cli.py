@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 
@@ -409,3 +410,107 @@ def test_cli_outputs_are_deterministic(tmp_path, capsys, data_dir):
         tmp_path / "b" / "report.txt"
     ).read_bytes()
     assert (tmp_path / "a" / "c.qt3").read_bytes() == (tmp_path / "b" / "c.qt3").read_bytes()
+
+
+def test_public_api_names_resolve():
+    for name in convaccel.__all__:
+        assert getattr(convaccel, name, None) is not None, name
+    assert "rescale_acc" not in convaccel.__all__
+
+
+def _estimate_argv(data_dir, flag, path):
+    argv = {
+        "--net": os.path.join(data_dir, "networks", "squeezenet_v11.net"),
+        "--config": os.path.join(data_dir, "configs", "conf1.cfg"),
+    }
+    argv[flag] = path
+    return ["estimate"] + [item for pair in argv.items() for item in pair]
+
+
+def _sweep_text(data_dir):
+    return (
+        f"base {os.path.join(data_dir, 'configs', 'conf1.cfg')}\n"
+        f"workload {os.path.join(data_dir, 'networks', 'squeezenet_v11.net')}\n"
+        "axis ICP 16 32\nobjective latency\n"
+    )
+
+
+@pytest.mark.parametrize("ext", ["net", "cfg", "sw", "cal"])
+def test_undecodable_text_input_is_parse_error(tmp_path, capsys, data_dir, ext):
+    sources = {
+        "net": os.path.join(data_dir, "networks", "squeezenet_v11.net"),
+        "cfg": os.path.join(data_dir, "configs", "conf1.cfg"),
+        "cal": os.path.join(data_dir, "calibration", "default.cal"),
+    }
+    if ext == "sw":
+        lines = _sweep_text(data_dir).encode().splitlines(keepends=True)
+    else:
+        with open(sources[ext], "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+    lines.insert(1, b"# caf\xff\n")  # a 0xff byte is never valid UTF-8, even in a comment
+    bad = tmp_path / f"bad.{ext}"
+    bad.write_bytes(b"".join(lines))
+    if ext == "sw":
+        argv = ["sweep", "--sweep", str(bad)]
+    else:
+        flag = {"net": "--net", "cfg": "--config", "cal": "--calibration"}[ext]
+        argv = _estimate_argv(data_dir, flag, str(bad))
+    assert main(argv) == EXIT_PARSE
+    assert f"{bad}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--net", "--config", "--calibration", "--sweep"])
+def test_directory_as_text_input_is_load_error(tmp_path, capsys, data_dir, flag):
+    if flag == "--sweep":
+        argv = ["sweep", "--sweep", str(tmp_path)]
+    else:
+        argv = _estimate_argv(data_dir, flag, str(tmp_path))
+    assert main(argv) == EXIT_LOAD
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_directory_as_binary_input_is_load_error(tmp_path, capsys, data_dir):
+    net = os.path.join(data_dir, "networks", "squeezenet_v11.net")
+    cfg = os.path.join(data_dir, "configs", "conf1.cfg")
+    out = str(tmp_path / "out")
+    run = ["run", "--net", net, "--config", cfg, "--input", str(tmp_path), "--out-dir", out]
+    assert main(run) == EXIT_LOAD
+    assert main(["quantize", str(tmp_path), "--out-dir", out]) == EXIT_LOAD
+    assert capsys.readouterr().err.count(str(tmp_path)) == 2
+
+
+# (2**32 - 1) in every dimension: no host can allocate the payload such a
+# header claims, so the loader must refuse it from the file size alone.
+HUGE = 2**32 - 1
+
+
+@pytest.mark.parametrize(
+    "name, header, command",
+    [
+        ("t.qt3", struct.pack("<4sBBb3I", b"QT3\0", 1, 1, 0, HUGE, HUGE, HUGE), "quantize"),
+        ("t.qt3", struct.pack("<4sBBb3I", b"QT3\0", 1, 0, 0, HUGE, HUGE, HUGE), "run"),
+        ("w.qfb", struct.pack("<4sBBbb4I", b"QFB\0", 1, 1, 0, 0, HUGE, 3, 3, HUGE), "quantize"),
+    ],
+    ids=["float-qt3-quantize", "int8-qt3-run", "float-qfb-quantize"],
+)
+def test_oversize_binary_header_is_corruption(tmp_path, capsys, data_dir, name, header, command):
+    path = tmp_path / name
+    path.write_bytes(header)
+    out = str(tmp_path / "out")
+    if command == "run":
+        net = os.path.join(data_dir, "networks", "squeezenet_v11.net")
+        cfg = os.path.join(data_dir, "configs", "conf1.cfg")
+        argv = ["run", "--net", net, "--config", cfg, "--input", str(path), "--out-dir", out]
+    else:
+        argv = ["quantize", str(path), "--out-dir", out]
+    assert main(argv) == EXIT_PARSE
+    assert "truncated payload" in capsys.readouterr().err
+
+
+def test_quantize_truncated_float_tensor_reports_truncation(tmp_path, capsys):
+    path = tmp_path / "f.qt3"
+    save_tensor(FTensor3(2, 2, 2, [0.5] * 8), path)
+    path.write_bytes(path.read_bytes()[:-3])
+    assert main(["quantize", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "truncated payload" in err and "bad magic" not in err

@@ -26,11 +26,10 @@ from convaccel import (
     exec_with_split,
     mpool_exec,
     plan_split,
-    rescale_acc,
 )
 from convaccel.engine import conv_out_dims, pool_out_dims
 from convaccel.errors import ConfigTooSmallError, ShapeError
-from reference import check_plan, conv_ref, layer_ref, pool_ref
+from reference import check_plan, conv_ref, layer_ref, pool_ref, rescale_ref
 
 
 def _identity_spec():
@@ -53,7 +52,7 @@ def test_zero_input_is_bias_broadcast():
         bank = QFilterBank(3, 3, 3, 2, [7] * 54, [-40, 0, 90], 3, 4)
         out = conv_exec(ia, bank, spec)
         for c, braw in enumerate((-40, 0, 90)):
-            want = rescale_acc(0, scheme, braw)
+            want = rescale_ref(0, scheme, braw)
             if relu:
                 want = max(0, want)
             assert set(out.as_3d()[:, :, c].reshape(-1).tolist()) == {want}
@@ -132,7 +131,7 @@ def test_conv_all_min_int8_at_k_4608():
     bank = QFilterBank(2, 3, 3, ci, [-128] * (2 * 9 * ci), [0, 0], 7, 0)
     got = conv_exec(ia, bank, spec)
     assert list(got.values) == conv_ref(ia, bank, spec)
-    assert got.at(1, 1, 0) == rescale_acc(4608 * 2**14, scheme)
+    assert got.at(1, 1, 0) == rescale_ref(4608 * 2**14, scheme, 0)
 
 
 def test_conv_overflow_diagnostic():

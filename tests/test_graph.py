@@ -270,14 +270,6 @@ def test_validate_soundness_legal_layers_run(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_reshape_identity_for_stride1_1x1():
-    spec = LayerSpec(1, 1, 0, 4, False, None, DfpScheme(4, 4, 4, 4))
-    assert reshape_first_layer(spec, (8, 8, 2), icp=16) is None  # trigger unmet
-    t = reshape_first_layer(spec, (8, 8, 2), icp=16, trigger=lambda *_: True)
-    assert t.reshaped_spec == spec and t.reshaped_geom == (8, 8, 2)
-    assert t.fold == 1 and t.fold_kernel == 1
-
-
 def test_reshape_fold_geometry():
     spec = LayerSpec(3, 2, 1, 4, False, None, DfpScheme(4, 4, 4, 4))
     t = reshape_first_layer(spec, (8, 8, 3), icp=16)
@@ -293,6 +285,8 @@ def test_reshape_trigger_rule():
     assert reshape_first_layer(spec, (8, 8, 16), icp=32) is None  # 16 == icp/2
     s1 = LayerSpec(3, 1, 1, 4, False, None, DfpScheme(4, 4, 4, 4))
     assert reshape_first_layer(s1, (8, 8, 3), icp=32) is None  # stride 1
+    s1x1 = LayerSpec(1, 1, 0, 4, False, None, DfpScheme(4, 4, 4, 4))
+    assert reshape_first_layer(s1x1, (8, 8, 2), icp=16) is None  # stride 1, 1x1
 
 
 def test_reshape_execution_bit_exact():

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scheme, seeded
-from convaccel import DfpScheme, FTensor3, choose_frac_bits, dequantize, quantize, rescale_acc
+from convaccel import DfpScheme, FTensor3, choose_frac_bits, dequantize, quantize
 from convaccel.errors import AccumulatorOverflow
-from convaccel.quant import I32_MAX, I32_MIN, rescale_block, shift_round
+from convaccel.quant import I32_MAX, I32_MIN, _shift_round_block, rescale_block
 from reference import rescale_ref, shift_round_ref
 
 
@@ -67,16 +67,26 @@ def test_quantization_error_bound():
     assert (err <= 2.0 ** (-f - 1) + 1e-12).all()
 
 
+def _rescale_one(acc, scheme, bias=0):
+    """rescale_block over a one-element block."""
+    out = rescale_block(np.array([acc], dtype=np.int64), scheme, np.array([bias], dtype=np.int8))
+    return int(out[0])
+
+
+def _shift_round_one(value, shift):
+    return int(_shift_round_block(np.array([value], dtype=np.int64), shift)[0])
+
+
 def test_rescale_trivials():
-    assert rescale_acc(0, DfpScheme(0, 0, 0, 0), 0) == 0
-    assert rescale_acc(130, DfpScheme(0, 0, 0, 0), 0) == 127
-    assert rescale_acc(256, DfpScheme(4, 4, 0, 4), 0) == 16
+    assert _rescale_one(0, DfpScheme(0, 0, 0, 0)) == 0
+    assert _rescale_one(130, DfpScheme(0, 0, 0, 0)) == 127
+    assert _rescale_one(256, DfpScheme(4, 4, 0, 4)) == 16
 
 
 def test_rescale_bias_path():
     # bias shifted from its own exponent to the output exponent
-    assert rescale_acc(0, DfpScheme(0, 0, 4, 2), 8) == 2
-    assert rescale_acc(0, DfpScheme(0, 0, 0, 2), 8) == 32
+    assert _rescale_one(0, DfpScheme(0, 0, 4, 2), 8) == 2
+    assert _rescale_one(0, DfpScheme(0, 0, 0, 2), 8) == 32
 
 
 @given(st.integers(-(2**31), 2**31 - 1), st.integers(-8, 8))
@@ -84,13 +94,13 @@ def test_rescale_bias_path():
 def test_shift_round_matches_reference(value, shift):
     if shift <= 0 and abs(value) > 2**22:
         value %= 1 << 20  # keep the left-shift result in a sane window
-    assert shift_round(value, shift) == shift_round_ref(value, shift)
+    assert _shift_round_one(value, shift) == shift_round_ref(value, shift)
 
 
 @given(st.integers(-(2**22), 2**22), st.integers(-8, 0))
 @settings(max_examples=200, deadline=None)
 def test_shift_round_exact_for_nonpositive_shift(value, shift):
-    assert shift_round(value, shift) == value * 2 ** (-shift)
+    assert _shift_round_one(value, shift) == value * 2 ** (-shift)
 
 
 def test_rescale_matches_reference_randomized():
@@ -99,7 +109,7 @@ def test_rescale_matches_reference_randomized():
         scheme = random_scheme(rng)
         acc = rng.randint(-(2**20), 2**20)
         bias = rng.randint(-128, 127)
-        assert rescale_acc(acc, scheme, bias) == rescale_ref(acc, scheme, bias)
+        assert _rescale_one(acc, scheme, bias) == rescale_ref(acc, scheme, bias)
 
 
 def test_rescale_monotone_in_acc():
@@ -108,7 +118,7 @@ def test_rescale_monotone_in_acc():
         scheme = random_scheme(rng)
         bias = rng.randint(-128, 127)
         accs = sorted(rng.randint(-(2**18), 2**18) for _ in range(8))
-        outs = [rescale_acc(a, scheme, bias) for a in accs]
+        outs = [_rescale_one(a, scheme, bias) for a in accs]
         assert outs == sorted(outs)
 
 
@@ -118,19 +128,24 @@ def test_rescale_output_range():
     rng = seeded(41)
     for _ in range(2000):
         scheme = random_scheme(rng)
-        out = rescale_acc(rng.randint(-(2**28), 2**28), scheme, rng.randint(-128, 127))
+        out = _rescale_one(rng.randint(-(2**28), 2**28), scheme, rng.randint(-128, 127))
         assert -128 <= out <= 127
 
 
 def test_rescale_overflow_diagnostics():
     with pytest.raises(AccumulatorOverflow):
-        rescale_acc(2**31, DfpScheme(0, 0, 0, 0), 0)
+        _rescale_one(2**31, DfpScheme(0, 0, 0, 0))
+    with pytest.raises(AccumulatorOverflow):
+        _rescale_one(I32_MIN - 1, DfpScheme(0, 0, 0, 0))
     # left shift blowing past 32 bits is a diagnostic, not a wrap
     with pytest.raises(AccumulatorOverflow):
-        rescale_acc(2**30, DfpScheme(0, 0, 0, 8), 0)
+        _rescale_one(2**30, DfpScheme(0, 0, 0, 8))
+    # both addends in range, their sum not
+    with pytest.raises(AccumulatorOverflow):
+        _rescale_one(I32_MAX, DfpScheme(0, 0, 0, 0), 1)
 
 
-def test_rescale_block_matches_scalar():
+def test_rescale_block_matches_reference():
     rng = seeded(43)
     scheme = random_scheme(rng)
     accs = np.array([rng.randint(-(2**20), 2**20) for _ in range(48)], dtype=np.int64)
@@ -139,7 +154,7 @@ def test_rescale_block_matches_scalar():
     for i in range(2):
         for j in range(4):
             for c in range(6):
-                assert block[i, j, c] == rescale_acc(int(accs[(i * 4 + j) * 6 + c]), scheme, int(biases[c]))
+                assert block[i, j, c] == rescale_ref(int(accs[(i * 4 + j) * 6 + c]), scheme, int(biases[c]))
 
 
 def test_rescale_block_matches_reference_at_ties_and_edges():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,19 @@ def test_bank_truncation(tmp_path):
     save_bank(bank, path)
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(CorruptionError):
+        load_bank_any(path)
+
+
+def test_payload_size_checked_before_read(tmp_path):
+    # Claims beyond addressable memory: only a size check can reject them.
+    huge = 2**32 - 1
+    path = tmp_path / "t.qt3"
+    path.write_bytes(struct.pack("<4sBBb3I", b"QT3\0", 1, 0, 0, huge, huge, huge))
+    with pytest.raises(CorruptionError, match="truncated payload"):
+        load_tensor_any(path)
+    path = tmp_path / "w.qfb"
+    path.write_bytes(struct.pack("<4sBBbb4I", b"QFB\0", 1, 1, 0, 0, huge, 1, 1, huge))
+    with pytest.raises(CorruptionError, match="truncated payload"):
         load_bank_any(path)
 
 
