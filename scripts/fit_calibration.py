@@ -25,7 +25,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from convaccel.config import Calibration, load_config, save_calibration
 from convaccel.graph import parse_network
-from convaccel.perf import host_units, network_perf
+from convaccel.perf import network_perf
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "..", "data")
@@ -108,15 +108,7 @@ def main():
     conv_mre = float(rel_err[best])
 
     # --- host cost --------------------------------------------------------
-    unit_counts = {}
-    for net_name, net in nets.items():
-        units = 0
-        for sn in net.shaped_nodes():
-            if sn.spec is None:
-                in_elems = sn.in_geom[0] * sn.in_geom[1] * sn.in_geom[2]
-                out_elems = sn.out_geom[0] * sn.out_geom[1] * sn.out_geom[2]
-                units += host_units(sn.kind, in_elems, out_elems)
-        unit_counts[net_name] = units
+    unit_counts = {n: sum(units for _, _, units in net.host_nodes) for n, net in nets.items()}
     host_targets = {
         n: float(np.mean([t - c for t, c in zip(TOTAL_MS[n], CONV_MS[n])])) for n in NETS
     }

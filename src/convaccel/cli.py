@@ -24,6 +24,8 @@ from .errors import (
     ParseError,
     SweepCapError,
     ValidationError,
+    make_output_dir,
+    open_output,
 )
 from .graph import parse_network, run_network, validate
 from .perf import estimate_resources, network_perf
@@ -56,12 +58,10 @@ def _perf_lines(report):
         f"{'writeback':>11}{'restreams':>11}{'total':>12}{'ms':>10}"
     )
     lines.append(header)
-    for lp in report.layers:
-        c = lp.cycles
+    for node_id, compute, xfer_in, param, writeback, _, restreams, total, ms in report.table():
         lines.append(
-            f"{lp.node_id:<20}{c.compute_cycles:>12}{c.transfer_in_cycles:>12}"
-            f"{c.param_cycles:>10}{c.writeback_cycles:>11}{c.restreams:>11}"
-            f"{c.total_cycles:>12}{lp.latency_ms:>10.3f}"
+            f"{node_id:<20}{compute:>12}{xfer_in:>12}{param:>10}{writeback:>11}"
+            f"{restreams:>11}{total:>12}{ms:>10.3f}"
         )
     for hp in report.host_ops:
         desc = f"host:{hp.kind} units={hp.units}"
@@ -80,7 +80,7 @@ def cmd_quantize(args) -> int:
     def frac_bits(data):
         return args.frac_bits if args.frac_bits is not None else choose_frac_bits(data)
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    make_output_dir(args.out_dir)
     for path in args.files:
         obj = load_any(path)
         out_path = os.path.join(args.out_dir, os.path.basename(path))
@@ -130,11 +130,11 @@ def cmd_run(args) -> int:
     calib = _calibration(args.calibration)
     input_tensor = load_tensor(args.input)
     outputs, report = run_network(net, cfg, input_tensor, calib=calib, emits=tuple(args.emit or ()))
-    os.makedirs(args.out_dir, exist_ok=True)
+    make_output_dir(args.out_dir)
     for node_id, tensor in outputs.items():
         save_tensor(tensor, os.path.join(args.out_dir, f"{node_id}.qt3"))
     lines = _perf_lines(report)
-    with open(os.path.join(args.out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+    with open_output(os.path.join(args.out_dir, "report.txt"), encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(f"wrote {len(outputs)} tensors to {args.out_dir}")
@@ -162,7 +162,7 @@ def cmd_sweep(args) -> int:
     calib = _calibration(args.calibration)
     points = dse_mod.enumerate_points(spec, calib)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with open_output(args.csv, encoding="utf-8") as fh:
             dse_mod.write_csv(points, spec, fh)
     front = dse_mod.pareto_front(points, spec.objectives)
     feasible = sum(1 for p in points if p.feasible)

@@ -4,6 +4,8 @@ The CLI maps these onto distinct exit codes, so keep the split between
 parse/format problems, validation problems, and load problems intact.
 """
 
+import os
+
 
 class AccelError(Exception):
     """Base class for all package errors."""
@@ -56,3 +58,19 @@ def open_input(path, mode="rb", **kwargs):
         return open(path, mode, **kwargs)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def open_output(path, mode="w", **kwargs):
+    """open() for a file the user named for writing; an OSError becomes a LoadError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise LoadError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def make_output_dir(path):
+    """os.makedirs(path, exist_ok=True); an OSError becomes a LoadError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise LoadError(f"cannot write {path}: {exc.strerror}") from None

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -95,18 +96,22 @@ class HostNode:
 
 @dataclass(frozen=True)
 class ShapedNode:
-    """A node with its resolved geometry and, for convolutions, its LayerSpec and cost terms."""
+    """A node with its resolved geometry and, for convolutions, its LayerSpec."""
 
     node_id: str
     kind: str
     in_geom: tuple[int, int, int]
     out_geom: tuple[int, int, int]
     spec: LayerSpec | None
-    terms: perf.ConvTerms | None
 
 
 class NetworkGraph:
-    """Immutable layer DAG plus the graph input geometry and exponent."""
+    """Immutable layer DAG plus the graph input geometry and exponent.
+
+    Shape inference also fixes what the cost model reads: ``conv_columns``,
+    the perf.ConvColumns of the convolutions in topological order, and
+    ``host_nodes``, (node_id, kind, units) per host node in that order.
+    """
 
     def __init__(self, name, input_geom, input_frac, nodes, base_dir="."):
         self.name = name
@@ -153,11 +158,10 @@ class NetworkGraph:
         # geometry and quantization exponent per producer; frac None = real domain
         geom = {INPUT_ID: self.input_geom}
         frac = {INPUT_ID: self.input_frac}
-        shaped = []
+        shaped, conv_ids, conv_rows, host = [], [], [], []
         for node in self._order:
             in_geoms = [geom[r] for r in node.inputs]
             in_fracs = [frac[r] for r in node.inputs]
-            terms = None
             if node.kind == "conv":
                 if len(node.inputs) != 1:
                     raise ValidationError(f"{node.id}: conv takes exactly one input")
@@ -175,10 +179,12 @@ class NetworkGraph:
                     DfpScheme(in_fracs[0], node.weight_frac, node.bias_frac, node.out_frac),
                 )
                 try:
-                    terms = perf.conv_terms(spec, in_geoms[0])
+                    out_geom, row = perf.conv_terms(spec, in_geoms[0])
                 except ShapeError as exc:
                     raise ValidationError(f"{node.id}: {exc}") from None
-                out_geom, out_frac = terms.out_geom, node.out_frac
+                out_frac = node.out_frac
+                conv_ids.append(node.id)
+                conv_rows.append(row)
             elif node.kind == "concat":
                 if len(node.inputs) < 2:
                     raise ValidationError(f"{node.id}: concat needs at least two inputs")
@@ -208,9 +214,15 @@ class NetworkGraph:
                 out_geom, out_frac, spec = (1, 1, g[0] * g[1] * g[2]), None, None
             else:
                 raise ValidationError(f"{node.id}: unknown node kind {node.kind!r}")
+            if spec is None:
+                (h, x, c), (oh, ox, oc) = in_geoms[0], out_geom
+                units = perf.host_units(node.kind, h * x * c, oh * ox * oc)
+                host.append((node.id, node.kind, units))
             geom[node.id] = out_geom
             frac[node.id] = out_frac
-            shaped.append(ShapedNode(node.id, node.kind, in_geoms[0], out_geom, spec, terms))
+            shaped.append(ShapedNode(node.id, node.kind, in_geoms[0], out_geom, spec))
+        self.conv_columns = perf.ConvColumns(conv_ids, conv_rows)
+        self.host_nodes = tuple(host)
         return tuple(shaped)
 
     def topo_order(self):
@@ -231,8 +243,8 @@ class NetworkGraph:
 
     def mac_count(self) -> int:
         """Multiply-accumulate count of the accelerated layers."""
-        terms = [sn.terms for sn in self._shaped if sn.terms is not None]
-        return sum(t.pixels * t.co * t.per_out_bytes for t in terms)
+        v = self.conv_columns.values
+        return sum(p * w for p, w in zip(v[perf.PIXELS].tolist(), v[perf.WEIGHTS].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +384,52 @@ class LayerVerdict:
     detail: str
 
 
-@dataclass(frozen=True)
 class LegalityReport:
-    rows: tuple[LayerVerdict, ...]
+    """Per-layer verdicts of validate.
 
-    @property
-    def ok(self) -> bool:
-        return all(r.verdict != "unsupported" for r in self.rows)
+    ``ok`` comes from validate's masks; ``rows`` and their problem
+    strings are built when first read.
+    """
+
+    def __init__(self, net, cfg, over, ok):
+        self._net = net
+        self._cfg = cfg
+        self._over = over  # rows perf.TAPS..perf.POOL_CO over their budgets, per layer
+        self.ok = ok
+
+    @cached_property
+    def rows(self) -> tuple[LayerVerdict, ...]:
+        cfg = self._cfg
+        v = self._net.conv_columns.values.tolist()
+        over = self._over.T.tolist()
+        convs = [sn for sn in self._net.shaped_nodes() if sn.spec is not None]
+        rows = []
+        for i, sn in enumerate(convs):
+            co, per_out = v[perf.CO][i], v[perf.PER_OUT][i]
+            checks = (
+                f"filter {sn.spec.filter} exceeds FILTER_MAX={cfg.filter_max}",
+                f"input row of {v[perf.ROW_BYTES][i]} bytes exceeds "
+                f"WINxCHIN_PAD_MAX={cfg.win_x_chin_pad_max}",
+                f"window of {per_out} bytes exceeds "
+                f"FILTERxFILTERxCHIN_MAX={cfg.filter_x_filter_x_chin_max}",
+                f"pool row of {v[perf.POOL_ROW][i]} bytes exceeds "
+                f"PWINxPCH_MAX={cfg.pwin_x_pch_max}",
+                f"pool pixel of {co} bytes exceeds PCH_MAX={cfg.pch_max}",
+            )
+            problems = [text for text, bad in zip(checks, over[i]) if bad]
+            groups = 0
+            if not problems:
+                try:
+                    groups = split_groups(co, per_out, cfg)[1]
+                except ConfigTooSmallError as exc:
+                    problems.append(str(exc))
+            if problems:
+                rows.append(LayerVerdict(sn.node_id, "unsupported", 0, "; ".join(problems)))
+            elif groups == 1:
+                rows.append(LayerVerdict(sn.node_id, "fits", 1, ""))
+            else:
+                rows.append(LayerVerdict(sn.node_id, "split", groups, f"{groups} groups"))
+        return tuple(rows)
 
     def __str__(self):
         lines = []
@@ -389,50 +440,30 @@ class LegalityReport:
 
 
 def validate(net: NetworkGraph, cfg: AccelConfig) -> LegalityReport:
-    """Per-layer verdict against the configuration's buffer budgets."""
-    rows = []
-    for sn in net.shaped_nodes():
-        if sn.spec is None:
-            continue
-        spec, t = sn.spec, sn.terms
-        problems = []
-        if spec.filter > cfg.filter_max:
-            problems.append(f"filter {spec.filter} exceeds FILTER_MAX={cfg.filter_max}")
-        if t.row_bytes > cfg.win_x_chin_pad_max:
-            problems.append(
-                f"input row of {t.row_bytes} bytes exceeds "
-                f"WINxCHIN_PAD_MAX={cfg.win_x_chin_pad_max}"
-            )
-        if t.per_out_bytes > cfg.filter_x_filter_x_chin_max:
-            problems.append(
-                f"window of {t.per_out_bytes} bytes exceeds "
-                f"FILTERxFILTERxCHIN_MAX={cfg.filter_x_filter_x_chin_max}"
-            )
-        if spec.pool is not None:
-            if t.pool_row > cfg.pwin_x_pch_max:
-                problems.append(
-                    f"pool row of {t.pool_row} bytes exceeds PWINxPCH_MAX={cfg.pwin_x_pch_max}"
-                )
-            if spec.co > cfg.pch_max:
-                problems.append(f"pool pixel of {spec.co} bytes exceeds PCH_MAX={cfg.pch_max}")
-        groups = 0
-        if not problems:
-            try:
-                groups = split_groups(spec.co, t.per_out_bytes, cfg)[1]
-            except ConfigTooSmallError as exc:
-                problems.append(str(exc))
-        if problems:
-            rows.append(LayerVerdict(sn.node_id, "unsupported", 0, "; ".join(problems)))
-        elif groups == 1:
-            rows.append(LayerVerdict(sn.node_id, "fits", 1, ""))
-        else:
-            rows.append(LayerVerdict(sn.node_id, "split", groups, f"{groups} groups"))
-    return LegalityReport(tuple(rows))
+    """Per-layer verdict against the configuration's buffer budgets, all layers in one pass."""
+    v = net.conv_columns.select(cfg)
+    # F and FILTER_MAX are 1 or 3, so F > FILTER_MAX exactly when F*F > FILTER_MAX**2.
+    limits = [
+        [cfg.filter_max**2],
+        [cfg.win_x_chin_pad_max],
+        [cfg.filter_x_filter_x_chin_max],
+        [cfg.pwin_x_pch_max],
+        [cfg.pch_max],
+    ]
+    over = v[: perf.POOL_CO + 1] > np.array(limits, dtype=v.dtype)
+    # split_groups' group min(CHOUT_MAX, budget // F*F*Ci) is below 1 exactly
+    # when F*F*Ci exceeds the budget, because CHOUT_MAX >= 1.
+    tight = v[perf.PER_OUT] > cfg.chout_x_filter_x_filter_x_chin_max
+    ok = not (np.count_nonzero(over) or np.count_nonzero(tight))
+    return LegalityReport(net, cfg, over, ok)
 
 
 # ---------------------------------------------------------------------------
 # First-layer reshaping
 # ---------------------------------------------------------------------------
+
+# Spatial fold factor: only stride-2 layers are folded.
+FOLD = 2
 
 # Tap relocation tables: original filter row index -> (folded kernel row,
 # fold sub-row).  Column mapping is identical by symmetry.
@@ -458,7 +489,6 @@ class ReshapeTransform:
     original_geom: tuple[int, int, int]
     reshaped_spec: LayerSpec
     reshaped_geom: tuple[int, int, int]
-    fold: int
     tap_map: dict
     crop: tuple[int, int]
     fold_kernel: int
@@ -467,8 +497,8 @@ class ReshapeTransform:
         """Folded coordinate -> original (y, x, c), or None for fold padding."""
         h, x, ci = self.original_geom
         block, c = divmod(fc, ci)
-        dy, dx = divmod(block, self.fold)
-        y, xx = self.fold * fy + dy, self.fold * fx + dx
+        dy, dx = divmod(block, FOLD)
+        y, xx = FOLD * fy + dy, FOLD * fx + dx
         if y >= h or xx >= x:
             return None
         return (y, xx, c)
@@ -480,12 +510,12 @@ class ReshapeTransform:
         fh, fx, fc = self.reshaped_geom
         src = t.as_3d()
         out = np.zeros((fh, fx, fc), dtype=np.int8)
-        for dy in range(self.fold):
-            for dx in range(self.fold):
-                rows = (h - dy + self.fold - 1) // self.fold
-                cols = (x - dx + self.fold - 1) // self.fold
-                block = (dy * self.fold + dx) * ci
-                out[:rows, :cols, block : block + ci] = src[dy :: self.fold, dx :: self.fold]
+        for dy in range(FOLD):
+            for dx in range(FOLD):
+                rows = (h - dy + FOLD - 1) // FOLD
+                cols = (x - dx + FOLD - 1) // FOLD
+                block = (dy * FOLD + dx) * ci
+                out[:rows, :cols, block : block + ci] = src[dy :: FOLD, dx :: FOLD]
         return QTensor3(fh, fx, fc, out.reshape(-1), t.frac_bits)
 
     def fold_bank(self, bank: QFilterBank) -> QFilterBank:
@@ -502,7 +532,7 @@ class ReshapeTransform:
         w4 = bank.as_4d()
         for fy, (gy, dy) in self.tap_map.items():
             for fx, (gx, dx) in self.tap_map.items():
-                block = (dy * self.fold + dx) * ci
+                block = (dy * FOLD + dx) * ci
                 out[:, gy, gx, block : block + ci] = w4[:, fy, fx, :]
         return QFilterBank(
             bank.co,
@@ -555,11 +585,11 @@ class ReshapeTransform:
             for xo in range(wo):
                 for _, (gy, dy) in self.tap_map.items():
                     fy = yo - pad + gy
-                    if not 0 <= fy < fh or self.fold * fy + dy >= h:
+                    if not 0 <= fy < fh or FOLD * fy + dy >= h:
                         continue
                     for _, (gx, dx) in self.tap_map.items():
                         fxx = xo - pad + gx
-                        if 0 <= fxx < fx and self.fold * fxx + dx < x:
+                        if 0 <= fxx < fx and FOLD * fxx + dx < x:
                             taps += 1
         return taps * ci * spec.co
 
@@ -579,9 +609,8 @@ def reshape_first_layer(
         return None
     h, x, ci = in_geom
     conv_out_dims(h, x, spec)  # geometry sanity before transforming
-    fold = spec.stride
     tap_map = _TAP_MAPS[(spec.filter, spec.padding)]
-    folded_geom = ((h + 1) // 2, (x + 1) // 2, ci * fold * fold)
+    folded_geom = (-(-h // FOLD), -(-x // FOLD), ci * FOLD * FOLD)
     if spec.filter == 1:
         new_filter, new_pad = 1, 0
     else:
@@ -590,7 +619,7 @@ def reshape_first_layer(
     crop = conv_out_dims(h, x, spec)
     gs = [g for g, _ in tap_map.values()]
     return ReshapeTransform(
-        spec, in_geom, reshaped, folded_geom, fold, tap_map, crop, max(gs) - min(gs) + 1
+        spec, in_geom, reshaped, folded_geom, tap_map, crop, max(gs) - min(gs) + 1
     )
 
 

@@ -21,9 +21,29 @@ last = Co - (n-1)*g, so the sum is
   Ho*Wo*(((n-1)*ceil(g/OCP) + ceil(last/OCP))*F*F*ceil(Ci/ICP) + n*k_pipe)
 
 by distributivity over integers: the same value, with no SplitPlan
-built.  The configuration-independent products (Ho*Wo, F*F*Ci, H*X*Ci,
-...) are computed once per layer as ConvTerms; the graph module stores
-them on each shaped convolution node.
+built.  The configuration-independent integers of a network's
+convolutions (Co, Ci, F*F, Ho*Wo, H*X*Ci, ...) are computed once, when
+the network is parsed, as the rows of a ConvColumns with one column per
+layer; layer_cycles evaluates the formula over all columns at once.
+
+Exactness.  The columns are int64 and NumPy int64 arithmetic wraps
+silently, so ConvColumns.select first checks in Python ints that no
+value can reach 2**63, and otherwise hands out the same columns as
+Python ints (dtype object), over which the same formula is exact.  For
+any valid configuration n <= Co, every group and the last one are at
+most Co, the OCP passes are at most Co and ceil(Ci/ICP) <= Ci, so every
+term and every partial product of a layer is at most
+
+  k_layer + Ho*Wo*Co*(F*F*Ci + k_pipe) + Co*H*X*Ci + Co*F*F*Ci + Co
+  + pooled*Co + k_pool + post-pool elements
+
+with pooled the pooled cells Hp*Wp*window^2.  The check also covers
+every configuration integer, which enters the formula as an operand.
+A layer's latency is total / (FREQ*1000): NumPy's int64 -> float64 and
+Python's int -> float conversion both round to nearest even, so the
+quotient is the same on either path.  Sums over layers are taken with
+builtin sum in layer order; np.sum would add pairwise and could round
+differently.
 
 Resources: each DSP-mapped PE packs two multiplies per DSP block, so
 dsp = pe_dsp * ceil(ICP/2) + c_dsp.  BRAM is reported in bytes as the
@@ -34,9 +54,32 @@ counted twice.  Power follows a linear trend in frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .config import AccelConfig, Calibration, DEFAULT_CALIBRATION
 from .engine import LayerSpec, conv_out_dims, pool_out_dims, split_groups
+
+# Rows of ConvColumns.values.  validate compares the first five against
+# the buffer budgets in one step; the two pool rows hold 0 for a layer
+# without a pool, which no budget (all >= 1) is below.  CI..WEIGHTS are
+# ceil-divided by ICP, APACK, APACK, APACK and PPACK in one step.
+(
+    TAPS,  # F*F
+    ROW_BYTES,  # (X + 2*P)*Ci, one padded input row
+    PER_OUT,  # F*F*Ci: one output channel's weights, also the window bytes
+    POOL_ROW,  # Wo*Co, one pool input row
+    POOL_CO,  # Co, one pool pixel
+    CI,
+    CO,
+    IN_ELEMS,  # H*X*Ci
+    OUT_ELEMS,  # post-pool Hp*Wp*Co
+    WEIGHTS,  # Co*F*F*Ci
+    PIXELS,  # Ho*Wo
+    POOL_CELLS,  # Hp*Wp*window^2
+) = range(12)
+N_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -71,21 +114,40 @@ class HostPerf:
     latency_ms: float
 
 
-@dataclass(frozen=True)
 class PerfReport:
-    """Per-layer and end-to-end latency predictions for one network/config pair."""
+    """Per-layer and end-to-end latency predictions for one network/config pair.
 
-    network: str
-    layers: tuple[LayerPerf, ...]
-    host_ops: tuple[HostPerf, ...]
+    ``layers`` and ``host_ops`` are built from the cost columns when first
+    read; ``table()`` yields the same per-layer numbers as plain tuples.
+    """
+
+    def __init__(self, network, node_ids, cycles, layer_ms, host, host_ms):
+        self.network = network
+        self._node_ids = node_ids
+        self._cycles = cycles  # arrays: LayerCycles' fields in order, then the total
+        self._layer_ms = layer_ms
+        self._host = host  # (node_id, kind, units) per host node
+        self._host_ms = host_ms
+
+    def table(self):
+        """Per layer: (node_id, the LayerCycles fields in order, total cycles, latency_ms)."""
+        return zip(self._node_ids, *(c.tolist() for c in self._cycles), self._layer_ms)
+
+    @cached_property
+    def layers(self) -> tuple[LayerPerf, ...]:
+        return tuple(LayerPerf(row[0], LayerCycles(*row[1:7]), row[8]) for row in self.table())
+
+    @cached_property
+    def host_ops(self) -> tuple[HostPerf, ...]:
+        return tuple(HostPerf(*h, ms) for h, ms in zip(self._host, self._host_ms))
 
     @property
     def conv_ms(self) -> float:
-        return sum(l.latency_ms for l in self.layers)
+        return sum(self._layer_ms)
 
     @property
     def host_ms(self) -> float:
-        return sum(h.latency_ms for h in self.host_ops)
+        return sum(self._host_ms)
 
     @property
     def end_to_end_ms(self) -> float:
@@ -99,56 +161,101 @@ class ResourceReport:
     power_w: float
 
 
-@dataclass(frozen=True)
-class ConvTerms:
-    """Configuration-independent integers of one convolution layer."""
+def conv_terms(spec: LayerSpec, in_geom: tuple[int, int, int]):
+    """(post-pool output geometry, the layer's column of terms in row order).
 
-    co: int
-    ci: int
-    taps: int  # F*F
-    pixels: int  # Ho*Wo
-    per_out_bytes: int  # F*F*Ci: one output channel's weights, also the window bytes
-    in_elems: int  # H*X*Ci
-    row_bytes: int  # (X + 2*P)*Ci, one padded input row
-    pool_row: int  # Wo*Co, one pool input row
-    pool_cells: int  # Hp*Wp*window^2, 0 without a pool
-    out_geom: tuple[int, int, int]  # post-pool (Hp, Wp, Co)
-    out_elems: int  # Hp*Wp*Co
-
-
-def conv_terms(spec: LayerSpec, in_geom: tuple[int, int, int]) -> ConvTerms:
-    """The layer's terms; raises ShapeError when the input is too small for the filter or pool."""
+    Raises ShapeError when the input is too small for the filter or pool.
+    """
     h, x, ci = in_geom
     ho, wo = conv_out_dims(h, x, spec)
-    hp, wp, pool_cells = ho, wo, 0
+    hp, wp, pool_cells, pool_co = ho, wo, 0, 0
     if spec.pool:
         hp, wp = pool_out_dims(ho, wo, spec.pool)
-        pool_cells = hp * wp * spec.pool.window**2
+        pool_cells, pool_co = hp * wp * spec.pool.window**2, spec.co
     co, taps = spec.co, spec.filter * spec.filter
-    return ConvTerms(
-        co, ci, taps, ho * wo, taps * ci, h * x * ci, (x + 2 * spec.padding) * ci, wo * co,
-        pool_cells, (hp, wp, co), hp * wp * co,
+    per_out = taps * ci
+    row = (
+        taps, (x + 2 * spec.padding) * ci, per_out, wo * co if pool_co else 0, pool_co,
+        ci, co, h * x * ci, hp * wp * co, co * per_out, ho * wo, pool_cells,
     )
+    return (hp, wp, co), row
+
+
+class ConvColumns:
+    """Configuration-independent integers of a network's convolution layers.
+
+    ``values[ROW, i]`` is term ROW (the constants above) of the i-th
+    convolution in topological order, named ``node_ids[i]``: int64 when
+    every term fits, else Python ints (dtype object).
+    """
+
+    def __init__(self, node_ids, rows):
+        self.node_ids = tuple(node_ids)
+        try:
+            values = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            values = np.array(rows, dtype=object)
+        # A copy, so that each row is contiguous: ufuncs over strided rows
+        # cost about half as much again per call.
+        self.values = values.reshape(len(rows), N_TERMS).T.copy()
+        # The module docstring's bound, maximized over the layers term by
+        # term, less the calibration terms; _pipe, the factor of k_pipe, is
+        # at least 1 so that the bound also covers k_pipe itself.
+        self._bound = max(
+            (
+                r[PIXELS] * r[CO] * r[PER_OUT] + r[CO] * r[IN_ELEMS] + r[WEIGHTS] + r[CO]
+                + r[POOL_CELLS] * r[CO] + r[OUT_ELEMS]
+                for r in rows
+            ),
+            default=0,
+        )
+        self._pipe = max((r[PIXELS] * r[CO] for r in rows), default=1)
+
+    def select(self, cfg: AccelConfig, calib: Calibration | None = None):
+        """``values``, as Python ints unless every value formed under cfg and calib fits int64."""
+        bound = self._bound
+        if calib is not None:
+            bound += self._pipe * calib.k_pipe + calib.k_layer + calib.k_pool
+        biggest = max(
+            bound, cfg.icp, cfg.ocp, cfg.apack, cfg.ppack, cfg.chout_max,
+            cfg.chout_x_filter_x_filter_x_chin_max, cfg.win_x_chin_pad_max,
+            cfg.filter_x_filter_x_chin_max, cfg.pwin_x_pch_max, cfg.pch_max,
+        )
+        if biggest < 2**63 and self.values.dtype != object:
+            return self.values
+        return self.values.astype(object)
 
 
 def layer_cycles(
-    t: ConvTerms, cfg: AccelConfig, calib: Calibration = DEFAULT_CALIBRATION
-) -> LayerCycles:
-    """Cycle breakdown of a layer from its terms; see the module docstring for the compute sum.
+    cols: ConvColumns, cfg: AccelConfig, calib: Calibration = DEFAULT_CALIBRATION
+):
+    """(compute, transfer_in, param, writeback, pool, restreams, total) arrays over the layers.
 
-    Raises ConfigTooSmallError when the layer does not fit even split.
+    See the module docstring for the compute sum and for exactness.
+    Raises ConfigTooSmallError, with split_groups' message, for the first
+    layer in order that does not fit even split.
     """
-    group, n = split_groups(t.co, t.per_out_bytes, cfg)
-    ocp, apack = cfg.ocp, cfg.apack
-    # -(-a // b) is ceil(a / b), inline: this runs once per layer per config
-    passes = (n - 1) * -(-group // ocp) - (-(t.co - (n - 1) * group) // ocp)
-    compute = calib.k_layer + t.pixels * (passes * t.taps * -(-t.ci // cfg.icp) + n * calib.k_pipe)
-    co_beats = -(-t.co // apack)
-    transfer_in = n * -(-t.in_elems // apack)
-    param = -(-t.co * t.per_out_bytes // cfg.ppack) + co_beats
-    pool = t.pool_cells * co_beats + calib.k_pool if t.pool_cells else 0
-    writeback = -(-t.out_elems // apack)
-    return LayerCycles(compute, transfer_in, param, writeback, pool, n)
+    v = cols.select(cfg, calib)
+    per_out, co = v[PER_OUT], v[CO]
+    group = np.minimum(cfg.chout_max, cfg.chout_x_filter_x_filter_x_chin_max // per_out)
+    tight = (group < 1).tolist()
+    if True in tight:
+        i = tight.index(True)
+        split_groups(int(co[i]), int(per_out[i]), cfg)  # raises
+    divisors = [[cfg.icp], [cfg.apack], [cfg.apack], [cfg.apack], [cfg.ppack]]
+    ci_tiles, co_beats, in_beats, out_beats, w_beats = -(
+        -v[CI : WEIGHTS + 1] // np.array(divisors, dtype=v.dtype)
+    )
+    n = -(-co // group)
+    ocp = cfg.ocp
+    passes = (n - 1) * -(-group // ocp) - (-(co - (n - 1) * group) // ocp)
+    compute = v[PIXELS] * (passes * v[TAPS] * ci_tiles + n * calib.k_pipe) + calib.k_layer
+    transfer_in = n * in_beats
+    param = w_beats + co_beats
+    cells = v[POOL_CELLS]
+    pool = np.where(cells > 0, cells * co_beats + calib.k_pool, 0)
+    total = np.maximum(np.maximum(compute, transfer_in), pool) + param + out_beats
+    return compute, transfer_in, param, out_beats, pool, n, total
 
 
 def conv_cycles(
@@ -157,7 +264,7 @@ def conv_cycles(
     cfg: AccelConfig,
     calib: Calibration = DEFAULT_CALIBRATION,
 ) -> LayerCycles:
-    """Cycle breakdown of one layer under a configuration.
+    """Cycle breakdown of one layer under a configuration: layer_cycles over one column.
 
     Raises ShapeError when the input is too small for the filter, then
     ConfigTooSmallError when the layer does not fit even split, then
@@ -166,7 +273,8 @@ def conv_cycles(
     h, x, ci = in_geom
     conv_out_dims(h, x, spec)
     split_groups(spec.co, spec.filter * spec.filter * ci, cfg)
-    return layer_cycles(conv_terms(spec, in_geom), cfg, calib)
+    cols = ConvColumns(("",), [conv_terms(spec, in_geom)[1]])
+    return LayerCycles(*(int(c[0]) for c in layer_cycles(cols, cfg, calib)[:6]))
 
 
 def host_units(kind: str, in_elems: int, out_elems: int) -> int:
@@ -186,25 +294,17 @@ def network_perf(
     """Latency prediction for a whole network at batch size one.
 
     Accelerated layers run sequentially on the accelerator; every other
-    node is charged at the flat host cost.  ``net`` must provide
-    ``shaped_nodes()`` yielding shape-resolved nodes in topological order,
-    each convolution with its ConvTerms (see the graph module).
+    node is charged at the flat host cost.  ``net`` must provide ``name``,
+    ``conv_columns`` (a ConvColumns over its convolutions in topological
+    order) and ``host_nodes`` ((node_id, kind, units) per host node, in
+    topological order); see the graph module.
     """
-    cycles_per_ms = cfg.freq_mhz * 1000.0
-    layers = []
-    host_ops = []
-    for sn in net.shaped_nodes():
-        if sn.spec is not None:
-            cyc = layer_cycles(sn.terms, cfg, calib)
-            layers.append(LayerPerf(sn.node_id, cyc, cyc.total_cycles / cycles_per_ms))
-        else:
-            in_elems = sn.in_geom[0] * sn.in_geom[1] * sn.in_geom[2]
-            out_elems = sn.out_geom[0] * sn.out_geom[1] * sn.out_geom[2]
-            units = host_units(sn.kind, in_elems, out_elems)
-            host_ops.append(
-                HostPerf(sn.node_id, sn.kind, units, units * calib.host_ns_per_unit / 1e6)
-            )
-    return PerfReport(net.name, tuple(layers), tuple(host_ops))
+    cols = net.conv_columns
+    cycles = layer_cycles(cols, cfg, calib)
+    layer_ms = (cycles[-1] / (cfg.freq_mhz * 1000.0)).tolist()
+    ns = calib.host_ns_per_unit
+    host_ms = [units * ns / 1e6 for _, _, units in net.host_nodes]
+    return PerfReport(net.name, cols.node_ids, cycles, layer_ms, net.host_nodes, host_ms)
 
 
 def estimate_resources(

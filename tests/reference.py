@@ -5,11 +5,13 @@ nested loops, divmod-based rounding, no numpy and no shared code with
 the package. The engine must match these bit-exactly.  The one exception
 is conv_cycles_ref, which walks engine.plan_split's groups on purpose:
 the cost model's closed-form compute term must equal the sum over the
-secondary convolutions that execution actually runs.
+secondary convolutions that execution actually runs; validate_ref counts
+groups through plan_split for the same reason.
 """
 
 from convaccel import DfpScheme, LayerSpec, QFilterBank, QTensor3, plan_split
-from convaccel.errors import ShapeError
+from convaccel.errors import ConfigTooSmallError, ShapeError
+from convaccel.graph import LayerVerdict
 from convaccel.perf import LayerCycles
 
 
@@ -161,3 +163,52 @@ def conv_cycles_ref(spec: LayerSpec, in_geom, cfg, calib) -> LayerCycles:
         pool = hp * wp * w * w * ceil_div(co, cfg.apack) + calib.k_pool
     writeback = ceil_div(hp * wp * co, cfg.apack)
     return LayerCycles(compute, transfer_in, param, writeback, pool, plan.restreams)
+
+
+def validate_ref(net, cfg):
+    """(ok, rows, text) of graph.validate, one convolution at a time from its spec and input."""
+    rows = []
+    for sn in net.shaped_nodes():
+        if sn.spec is None:
+            continue
+        spec = sn.spec
+        h, x, ci = sn.in_geom
+        f, p, co = spec.filter, spec.padding, spec.co
+        wo = (x + 2 * p - f) // spec.stride + 1
+        problems = []
+        if f > cfg.filter_max:
+            problems.append(f"filter {f} exceeds FILTER_MAX={cfg.filter_max}")
+        if (x + 2 * p) * ci > cfg.win_x_chin_pad_max:
+            problems.append(
+                f"input row of {(x + 2 * p) * ci} bytes exceeds "
+                f"WINxCHIN_PAD_MAX={cfg.win_x_chin_pad_max}"
+            )
+        if f * f * ci > cfg.filter_x_filter_x_chin_max:
+            problems.append(
+                f"window of {f * f * ci} bytes exceeds "
+                f"FILTERxFILTERxCHIN_MAX={cfg.filter_x_filter_x_chin_max}"
+            )
+        if spec.pool is not None:
+            if wo * co > cfg.pwin_x_pch_max:
+                problems.append(
+                    f"pool row of {wo * co} bytes exceeds PWINxPCH_MAX={cfg.pwin_x_pch_max}"
+                )
+            if co > cfg.pch_max:
+                problems.append(f"pool pixel of {co} bytes exceeds PCH_MAX={cfg.pch_max}")
+        groups = 0
+        if not problems:
+            try:
+                groups = plan_split((co, f, f, ci), cfg).restreams
+            except ConfigTooSmallError as exc:
+                problems.append(str(exc))
+        if problems:
+            rows.append(LayerVerdict(sn.node_id, "unsupported", 0, "; ".join(problems)))
+        elif groups == 1:
+            rows.append(LayerVerdict(sn.node_id, "fits", 1, ""))
+        else:
+            rows.append(LayerVerdict(sn.node_id, "split", groups, f"{groups} groups"))
+    ok = all(r.verdict != "unsupported" for r in rows)
+    text = "\n".join(
+        f"{r.node_id}: {r.verdict}" + (f" ({r.detail})" if r.detail else "") for r in rows
+    )
+    return ok, tuple(rows), text

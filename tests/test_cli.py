@@ -514,3 +514,143 @@ def test_quantize_truncated_float_tensor_reports_truncation(tmp_path, capsys):
     assert main(["quantize", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert "truncated payload" in err and "bad magic" not in err
+
+
+def test_sweep_csv_into_directory_is_load_error(tmp_path, capsys, data_dir):
+    sweep = tmp_path / "s.sw"
+    sweep.write_text(_sweep_text(data_dir))
+    assert main(["sweep", "--sweep", str(sweep), "--csv", str(tmp_path)]) == EXIT_LOAD
+    assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+
+def test_run_out_dir_on_a_file_is_load_error(tmp_path, capsys):
+    ia, bank, spec = random_instance(seeded(421), max_hw=5, max_ch=5)
+    net_path = _write_single_conv_net(tmp_path, ia, bank, spec)
+    cfg_path = tmp_path / "cfg.cfg"
+    save_config(wide_open_config(), cfg_path)
+    save_tensor(ia, tmp_path / "in.qt3")
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    argv = ["run", "--net", net_path, "--config", str(cfg_path), "--input"]
+    argv += [str(tmp_path / "in.qt3"), "--out-dir", str(blocker)]
+    assert main(argv) == EXIT_LOAD
+    assert f"cannot write {blocker}" in capsys.readouterr().err
+
+
+def test_quantize_out_dir_on_a_file_is_load_error(tmp_path, capsys):
+    save_tensor(FTensor3(1, 1, 2, [0.5, -0.25]), tmp_path / "t.qt3")
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    assert main(["quantize", str(tmp_path / "t.qt3"), "--out-dir", str(blocker)]) == EXIT_LOAD
+    assert f"cannot write {blocker}" in capsys.readouterr().err
+
+
+# Cost-model inputs whose integers pass 2**63, each with the estimate report
+# the scalar Python-int model printed for it.
+_TINY_NET = """network tiny
+input 12 12 8
+input_frac 4
+node c1 conv filter=3 stride=1 pad=1 co=24 relu=1 pool=2x2s2 fo=4 fp=4 fb=4 inputs=input
+node c2 conv filter=1 stride=1 pad=0 co=40 relu=0 pool=none fo=4 fp=4 fb=4 inputs=c1
+node gap global_avg_pool inputs=c2
+node fc fully_connected units=10 inputs=gap
+node sm softmax inputs=fc
+"""
+# Its layer's cycle total is about 8.3e19, past 2**63 on its own.
+_HUGE_NET = """network huge
+input 16777216 16777216 1024
+input_frac 4
+node c1 conv filter=3 stride=1 pad=1 co=4096 relu=0 pool=2x2s2 fo=4 fp=4 fb=4 inputs=input
+"""
+_HUGE_BUDGETS = {
+    "WINxCHIN_PAD_MAX": 2**40,
+    "FILTERxFILTERxCHIN_MAX": 2**40,
+    "CHOUTxFILTERxFILTERxCHIN_MAX": 2**50,
+    "CHOUT_MAX": 4096,
+    "PWINxPCH_MAX": 2**50,
+    "PCH_MAX": 4096,
+}
+_TINY_HOST = """\
+gap                                                      host:global_avg_pool units=1440     0.002
+fc                                                        host:fully_connected units=400     0.001
+sm                                                                 host:softmax units=10     0.000
+"""
+_HEADER = """\
+layer                    compute     xfer_in     param  writeback  restreams       total        ms
+"""
+_OVERFLOW_CASES = {
+    "weight-budget-1e30": (
+        _TINY_NET,
+        {"CHOUTxFILTERxFILTERxCHIN_MAX": 10**30},
+        None,
+        "network tiny\n" + _HEADER
+        + "c1                         12416         144       219        108          1       12743     0.127\n"
+        + "c2                          7592         108       125        180          1        7897     0.079\n"
+        + _TINY_HOST
+        + "conv_total_ms 0.206\nhost_total_ms 0.003\nend_to_end_ms 0.209\n"
+        + "dsp 74\nbram_bytes 1000000000000000000000000089600\npower_w 2.692\n",
+    ),
+    "k_layer-2**62": (
+        _TINY_NET,
+        {},
+        f"k_layer={2**62}\n",
+        "network tiny\n" + _HEADER
+        + "c1                  4611686018427393520         144       219        108          1"
+        + "461168601842739384746116860184273.938\n"
+        + "c2                  4611686018427388696         108       125        180          1"
+        + "461168601842738900146116860184273.891\n"
+        + _TINY_HOST
+        + "conv_total_ms 92233720368547.828\nhost_total_ms 0.003\n"
+        + "end_to_end_ms 92233720368547.828\n"
+        + "dsp 74\nbram_bytes 384512\npower_w 2.692\n",
+    ),
+    # k_layer alone fits int64; with each layer's compute added it does not.
+    "k_layer-2**63-1": (
+        _TINY_NET,
+        {},
+        f"k_layer={2**63 - 1}\n",
+        "network tiny\n" + _HEADER
+        + "c1                  9223372036854781423         144       219        108          1"
+        + "922337203685478175092233720368547.812\n"
+        + "c2                  9223372036854776599         108       125        180          1"
+        + "922337203685477690492233720368547.781\n"
+        + _TINY_HOST
+        + "conv_total_ms 184467440737095.594\nhost_total_ms 0.003\n"
+        + "end_to_end_ms 184467440737095.594\n"
+        + "dsp 74\nbram_bytes 384512\npower_w 2.692\n",
+    ),
+    "network-bound": (
+        _HUGE_NET,
+        _HUGE_BUDGETS,
+        None,
+        "network huge\n" + _HEADER
+        + "c1                  8301372603141351694436028797018963968   "
+        + "471910436028797018963968          183049754828437200016830497548284371.875\n"
+        + "conv_total_ms 830497548284371.875\nhost_total_ms 0.000\n"
+        + "end_to_end_ms 830497548284371.875\n"
+        + "dsp 74\nbram_bytes 3383197278687232\npower_w 2.692\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVERFLOW_CASES))
+def test_estimate_past_int64_matches_python_int_model(tmp_path, capsys, data_dir, case):
+    net_text, overrides, calib_text, want = _OVERFLOW_CASES[case]
+    net = tmp_path / "n.net"
+    net.write_text(net_text)
+    lines = []
+    with open(os.path.join(data_dir, "configs", "conf1.cfg"), encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            key = line.split("=", 1)[0]
+            lines.append(f"{key}={overrides[key]}" if key in overrides else line)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    argv = ["estimate", "--net", str(net), "--config", str(cfg)]
+    if calib_text:
+        cal = tmp_path / "k.cal"
+        cal.write_text(calib_text)
+        argv += ["--calibration", str(cal)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == want
+    assert captured.err == ""

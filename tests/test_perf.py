@@ -6,9 +6,9 @@ from conftest import seeded, wide_open_config
 from convaccel import Calibration, DfpScheme, LayerSpec, PoolSpec, estimate_resources
 from convaccel.engine import conv_out_dims
 from convaccel.errors import ConfigTooSmallError, ShapeError
-from convaccel.graph import ConvNode, NetworkGraph, validate
+from convaccel.graph import ConvNode, HostNode, NetworkGraph, validate
 from convaccel.perf import conv_cycles, network_perf
-from reference import conv_cycles_ref
+from reference import conv_cycles_ref, validate_ref
 
 ZERO_CAL = Calibration(k_pipe=0, k_layer=0, k_pool=0)
 SCHEME = DfpScheme(4, 4, 4, 4)
@@ -147,6 +147,97 @@ def test_closed_form_matches_group_sum(
     net = NetworkGraph("one", (h, x, ci), 4, [node])
     assert network_perf(net, cfg, cal).layers[0].cycles == want
     assert validate(net, cfg).rows[0].groups in (0, want.restreams)
+
+
+@st.composite
+def _graph_and_config(draw):
+    """A chain of 1-6 convolutions, maybe with a host tail, and a config with tight budgets."""
+    h, x, c = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 300))
+    geom, prev, nodes = (h, x, c), "input", []
+    for i in range(draw(st.integers(1, 6))):
+        f = draw(st.sampled_from((1, 3)))
+        stride = draw(st.sampled_from((1, 2)))
+        pad = draw(st.sampled_from((0, 1))) if f == 3 else 0
+        spec = LayerSpec(f, stride, pad, 1, False, None, SCHEME)
+        if min(geom[:2]) + 2 * pad < f:
+            spec = LayerSpec(1, 1, 0, 1, False, None, SCHEME)  # fits any input
+        ho, wo = conv_out_dims(geom[0], geom[1], spec)
+        pool = draw(st.sampled_from([None] + [w for w in (2, 3) if min(ho, wo) >= w]))
+        co = draw(st.integers(1, 300))
+        nodes.append(
+            ConvNode(f"c{i}", spec.filter, spec.stride, spec.padding, co, False,
+                     pool and PoolSpec(pool), 4, 4, 4, None, (prev,))
+        )
+        if pool:
+            ho, wo = (ho - pool) // 2 + 1, (wo - pool) // 2 + 1
+        geom, prev = (ho, wo, co), f"c{i}"
+    if draw(st.booleans()):
+        nodes += [
+            HostNode("gap", "global_avg_pool", (prev,)),
+            HostNode("fc", "fully_connected", ("gap",), draw(st.integers(1, 50))),
+            HostNode("sm", "softmax", ("fc",)),
+        ]
+    # Half the configs leave the five buffer budgets wide open, so that the
+    # split and ConfigTooSmallError paths are reached as often as the checks.
+    budgets = {}
+    if draw(st.booleans()):
+        budgets = dict(
+            filter_max=draw(st.sampled_from((1, 3))),
+            win_x_chin_pad_max=draw(st.integers(1, 20000)),
+            filter_x_filter_x_chin_max=draw(st.integers(1, 3000)),
+            pwin_x_pch_max=draw(st.integers(1, 20000)),
+            pch_max=draw(st.integers(1, 400)),
+        )
+    cfg = wide_open_config(
+        freq_mhz=draw(st.sampled_from((100.0, 150.0, 233.0))),
+        icp=draw(_POW2),
+        ocp=draw(_POW2),
+        pe_dsp=0,
+        apack=draw(_POW2),
+        ppack=draw(_POW2),
+        chout_x_filter_x_filter_x_chin_max=draw(st.integers(1, 1 << 17)),
+        chout_max=draw(st.integers(1, 400)),
+        **budgets,
+    )
+    cal = Calibration(
+        k_pipe=draw(st.integers(0, 100)),
+        k_layer=draw(st.integers(0, 10000)),
+        k_pool=draw(st.integers(0, 100)),
+    )
+    return NetworkGraph("g", (h, x, c), 4, nodes), cfg, cal
+
+
+@given(_graph_and_config())
+@settings(max_examples=300, deadline=None)
+def test_network_columns_match_scalar_oracles(case):
+    net, cfg, cal = case
+    ok, rows, text = validate_ref(net, cfg)
+    report = validate(net, cfg)
+    assert report.ok == ok
+    assert report.rows == rows
+    assert str(report) == text
+
+    convs = [sn for sn in net.shaped_nodes() if sn.spec is not None]
+    want = []
+    for sn in convs:
+        try:
+            want.append(conv_cycles_ref(sn.spec, sn.in_geom, cfg, cal))
+        except ConfigTooSmallError as exc:
+            # the first failing layer in topological order names the error
+            with pytest.raises(ConfigTooSmallError) as got:
+                network_perf(net, cfg, cal)
+            assert str(got.value) == str(exc)
+            return
+    perf = network_perf(net, cfg, cal)
+    assert [lp.node_id for lp in perf.layers] == [sn.node_id for sn in convs]
+    assert [lp.cycles for lp in perf.layers] == want
+    conv_ms = 0
+    for cyc in want:
+        conv_ms += cyc.total_cycles / (cfg.freq_mhz * 1000.0)
+    assert perf.conv_ms == conv_ms
+    assert [h.node_id for h in perf.host_ops] == [
+        sn.node_id for sn in net.shaped_nodes() if sn.spec is None
+    ]
 
 
 def test_split_coherence_transfer_proportional_to_restreams():
