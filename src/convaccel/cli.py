@@ -58,11 +58,8 @@ def _perf_lines(report):
         f"{'writeback':>11}{'restreams':>11}{'total':>12}{'ms':>10}"
     )
     lines.append(header)
-    for node_id, compute, xfer_in, param, writeback, _, restreams, total, ms in report.table():
-        lines.append(
-            f"{node_id:<20}{compute:>12}{xfer_in:>12}{param:>10}{writeback:>11}"
-            f"{restreams:>11}{total:>12}{ms:>10.3f}"
-        )
+    row = "{0:<20}{1:>12}{2:>12}{3:>10}{4:>11}{6:>11}{7:>12}{8:>10.3f}".format
+    lines.extend(row(*r) for r in report.table())
     for hp in report.host_ops:
         desc = f"host:{hp.kind} units={hp.units}"
         lines.append(f"{hp.node_id:<20}{desc:>68}{hp.latency_ms:>10.3f}")

@@ -4,14 +4,20 @@ One accelerator invocation computes MPOOL(ReLU(CONV(ia, weights, bias)))
 with the ReLU and MPOOL stages optional.  The hardware walks output
 channels in tiles of OCP and input channels in tiles of ICP; integer
 addition is associative, so tiling never changes results and the model
-computes each convolution as f*f float64 matrix products through BLAS,
-one per filter tap.
+computes each convolution as f*f matrix products through BLAS, one per
+filter tap, added into a float64 accumulator.
 
-The float64 accumulation is exact.  Every int8 product satisfies
-|w*a| <= 2**14, so every partial sum, in whatever order BLAS adds, is an
-integer of magnitude at most K * 2**14 with K = f*f*ci.  Doubles hold
-every integer up to 2**53, so no sum rounds while K < 2**39; validate
-caps K at the config's FILTERxFILTERxCHIN_MAX (4608 in conf6).
+Both steps are exact.  Every int8 product satisfies |w*a| <= 2**14, so
+a tap's product sums ci of them and every partial sum, in whatever order
+and with or without FMA, is an integer of magnitude at most ci * 2**14.
+float32 holds every integer up to 2**24, so conv_exec runs the tap GEMMs
+in float32 when ci <= 1024 (ci * 2**14 <= 2**24) and in float64, exact
+up to 2**53, above that.  The choice is made from the bank in each call,
+not taken from validate's budgets, because conv_exec is public and runs
+whatever layer it is given.  The accumulator adds the f*f tap results in
+float64; each partial sum is at most K * 2**14 with K = f*f*ci, exact
+while K < 2**39, and validate caps K at the config's
+FILTERxFILTERxCHIN_MAX (4608 in conf6).
 
 When a layer's weights exceed the on-chip weight budget, the layer is
 split along the output-channel dimension into secondary convolutions
@@ -30,6 +36,9 @@ from .config import AccelConfig
 from .errors import ConfigTooSmallError, ShapeError
 from .quant import DfpScheme, rescale_block
 from .tensors import QFilterBank, QTensor3
+
+# Largest ci whose tap GEMM runs in float32: ci * 2**14 <= 2**24.
+F32_EXACT_CI = 1024
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,10 @@ def conv_exec(ia: QTensor3, bank: QFilterBank, spec: LayerSpec) -> QTensor3:
     co, f, s, p = spec.co, spec.filter, spec.stride, spec.padding
     ho, wo = conv_out_dims(h, x, spec)
 
-    padded = np.zeros((h + 2 * p, x + 2 * p, ci))
+    gemm = np.float32 if ci <= F32_EXACT_CI else np.float64
+    padded = np.zeros((h + 2 * p, x + 2 * p, ci), dtype=gemm)
     padded[p : p + h, p : p + x] = ia.as_3d()
-    taps = bank.as_4d().transpose(1, 2, 3, 0).astype(np.float64)  # (f, f, ci, co)
+    taps = bank.as_4d().transpose(1, 2, 3, 0).astype(gemm)  # (f, f, ci, co)
 
     acc = np.zeros((ho * wo, co))
     for fy in range(f):

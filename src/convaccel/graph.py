@@ -159,71 +159,75 @@ class NetworkGraph:
         geom = {INPUT_ID: self.input_geom}
         frac = {INPUT_ID: self.input_frac}
         shaped, conv_ids, conv_rows, host = [], [], [], []
+        # Layers repeat (vgg16 has 8 distinct of 13): one LayerSpec per distinct layer.
+        specs = {}
         for node in self._order:
-            in_geoms = [geom[r] for r in node.inputs]
-            in_fracs = [frac[r] for r in node.inputs]
             if node.kind == "conv":
                 if len(node.inputs) != 1:
                     raise ValidationError(f"{node.id}: conv takes exactly one input")
-                if in_fracs[0] is None:
-                    raise ValidationError(
-                        f"{node.id}: conv input {node.inputs[0]!r} is real-valued"
-                    )
-                spec = LayerSpec(
-                    node.filter,
-                    node.stride,
-                    node.padding,
-                    node.co,
-                    node.relu,
-                    node.pool,
-                    DfpScheme(in_fracs[0], node.weight_frac, node.bias_frac, node.out_frac),
+                src = node.inputs[0]
+                in_geom, in_frac = geom[src], frac[src]
+                if in_frac is None:
+                    raise ValidationError(f"{node.id}: conv input {src!r} is real-valued")
+                key = (
+                    node.filter, node.stride, node.padding, node.co, node.relu, node.pool,
+                    in_frac, node.weight_frac, node.bias_frac, node.out_frac,
                 )
+                spec = specs.get(key)
+                if spec is None:
+                    spec = specs[key] = LayerSpec(*key[:6], DfpScheme(*key[6:]))
                 try:
-                    out_geom, row = perf.conv_terms(spec, in_geoms[0])
+                    out_geom, row = perf.conv_terms(spec, in_geom)
                 except ShapeError as exc:
                     raise ValidationError(f"{node.id}: {exc}") from None
                 out_frac = node.out_frac
                 conv_ids.append(node.id)
                 conv_rows.append(row)
-            elif node.kind == "concat":
-                if len(node.inputs) < 2:
-                    raise ValidationError(f"{node.id}: concat needs at least two inputs")
-                if any(f is None for f in in_fracs):
-                    raise ValidationError(f"{node.id}: concat of real-valued inputs")
-                if len({g[:2] for g in in_geoms}) != 1:
-                    raise ValidationError(f"{node.id}: concat inputs differ spatially")
-                if len(set(in_fracs)) != 1:
-                    raise ValidationError(f"{node.id}: concat inputs differ in frac_bits")
-                h, x, _ = in_geoms[0]
-                out_geom = (h, x, sum(g[2] for g in in_geoms))
-                out_frac, spec = in_fracs[0], None
-            elif node.kind == "global_avg_pool":
-                if len(node.inputs) != 1 or in_fracs[0] is None:
-                    raise ValidationError(f"{node.id}: global_avg_pool takes one quantized input")
-                out_geom, out_frac, spec = (1, 1, in_geoms[0][2]), in_fracs[0], None
-            elif node.kind == "fully_connected":
-                if len(node.inputs) != 1:
-                    raise ValidationError(f"{node.id}: fully_connected takes one input")
-                if node.units < 1:
-                    raise ValidationError(f"{node.id}: fully_connected needs units >= 1")
-                out_geom, out_frac, spec = (1, 1, node.units), None, None
-            elif node.kind == "softmax":
-                if len(node.inputs) != 1:
-                    raise ValidationError(f"{node.id}: softmax takes one input")
-                g = in_geoms[0]
-                out_geom, out_frac, spec = (1, 1, g[0] * g[1] * g[2]), None, None
             else:
-                raise ValidationError(f"{node.id}: unknown node kind {node.kind!r}")
-            if spec is None:
-                (h, x, c), (oh, ox, oc) = in_geoms[0], out_geom
+                in_geoms = [geom[r] for r in node.inputs]
+                in_fracs = [frac[r] for r in node.inputs]
+                out_geom, out_frac = self._host_shape(node, in_geoms, in_fracs)
+                in_geom, spec = in_geoms[0], None
+                (h, x, c), (oh, ox, oc) = in_geom, out_geom
                 units = perf.host_units(node.kind, h * x * c, oh * ox * oc)
                 host.append((node.id, node.kind, units))
             geom[node.id] = out_geom
             frac[node.id] = out_frac
-            shaped.append(ShapedNode(node.id, node.kind, in_geoms[0], out_geom, spec))
+            shaped.append(ShapedNode(node.id, node.kind, in_geom, out_geom, spec))
         self.conv_columns = perf.ConvColumns(conv_ids, conv_rows)
         self.host_nodes = tuple(host)
         return tuple(shaped)
+
+    @staticmethod
+    def _host_shape(node, in_geoms, in_fracs):
+        """(output geometry, output exponent) of a host node; exponent None = real."""
+        if node.kind == "concat":
+            if len(node.inputs) < 2:
+                raise ValidationError(f"{node.id}: concat needs at least two inputs")
+            if any(f is None for f in in_fracs):
+                raise ValidationError(f"{node.id}: concat of real-valued inputs")
+            if len({g[:2] for g in in_geoms}) != 1:
+                raise ValidationError(f"{node.id}: concat inputs differ spatially")
+            if len(set(in_fracs)) != 1:
+                raise ValidationError(f"{node.id}: concat inputs differ in frac_bits")
+            h, x, _ = in_geoms[0]
+            return (h, x, sum(g[2] for g in in_geoms)), in_fracs[0]
+        if node.kind == "global_avg_pool":
+            if len(node.inputs) != 1 or in_fracs[0] is None:
+                raise ValidationError(f"{node.id}: global_avg_pool takes one quantized input")
+            return (1, 1, in_geoms[0][2]), in_fracs[0]
+        if node.kind == "fully_connected":
+            if len(node.inputs) != 1:
+                raise ValidationError(f"{node.id}: fully_connected takes one input")
+            if node.units < 1:
+                raise ValidationError(f"{node.id}: fully_connected needs units >= 1")
+            return (1, 1, node.units), None
+        if node.kind == "softmax":
+            if len(node.inputs) != 1:
+                raise ValidationError(f"{node.id}: softmax takes one input")
+            h, x, c = in_geoms[0]
+            return (1, 1, h * x * c), None
+        raise ValidationError(f"{node.id}: unknown node kind {node.kind!r}")
 
     def topo_order(self):
         return self._order
@@ -254,14 +258,17 @@ class NetworkGraph:
 _POOLS = {"none": None, "2x2s2": PoolSpec(2), "3x3s2": PoolSpec(3)}
 
 
+# The integer fields of a conv node, in the order their errors are reported.
+_CONV_INTS = ("filter", "stride", "pad", "co", "relu", "fo", "fp", "fb")
+
+
 def _parse_kv(pairs, path, line_no):
-    out = {}
-    for item in pairs:
-        if "=" not in item:
-            raise ParseError(path, line_no, f"expected key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        out[key] = value
-    return out
+    try:
+        return dict([item.split("=", 1) for item in pairs])
+    except ValueError:
+        bad = next(item for item in pairs if "=" not in item)
+        raise ParseError(path, line_no, f"expected key=value, got {bad!r}") from None
+
 
 def _take_int(kv, key, path, line_no):
     if key not in kv:
@@ -286,20 +293,17 @@ def _parse_node(parts, path, line_no):
         pool_key = kv.pop("pool", "none")
         if pool_key not in _POOLS:
             raise ParseError(path, line_no, f"unknown pool {pool_key!r}")
+        try:
+            filt, stride, pad, co, relu, fo, fp, fb = map(int, map(kv.pop, _CONV_INTS))
+        except (KeyError, ValueError):
+            # Name the first missing or malformed field, in _CONV_INTS order.
+            fresh = _parse_kv(parts[2:], path, line_no)
+            for key in _CONV_INTS:
+                _take_int(fresh, key, path, line_no)
+            raise
         node = ConvNode(
-            id=node_id,
-            filter=_take_int(kv, "filter", path, line_no),
-            stride=_take_int(kv, "stride", path, line_no),
-            padding=_take_int(kv, "pad", path, line_no),
-            co=_take_int(kv, "co", path, line_no),
-            relu=_take_int(kv, "relu", path, line_no) != 0,
-            pool=_POOLS[pool_key],
-            out_frac=_take_int(kv, "fo", path, line_no),
-            weight_frac=_take_int(kv, "fp", path, line_no),
-            bias_frac=_take_int(kv, "fb", path, line_no),
-            params=params,
-            inputs=inputs,
-            emit=emit,
+            node_id, filt, stride, pad, co, relu != 0, _POOLS[pool_key],
+            fo, fp, fb, params, inputs, emit,
         )
     elif kind in HOST_KINDS:
         units = _take_int(kv, "units", path, line_no) if kind == "fully_connected" else 0

@@ -6,7 +6,12 @@ fastest-changing dimension: element (y, x, c) lives at index
 [out_ch][filter_h][filter_w][in_ch] order.  Both carry a power-of-two
 scale exponent ``frac_bits``: real value = raw * 2**-frac_bits.
 
-All objects are immutable after construction and safe to share.
+All objects are immutable after construction and safe to share.  Their
+int8 arrays are read-only; an int8 source that nothing can write (a
+``np.frombuffer`` view of ``bytes``, as the file loaders give, or a view
+of another object's read-only array, as ``slice_out_channels`` gives) is
+shared without a copy.  Any other source is copied, after a range check
+unless its dtype is already int8.
 """
 
 from __future__ import annotations
@@ -40,12 +45,30 @@ def _check_frac(name, f):
         raise ValueError(f"{name} must be an integer in [{I8_MIN}, {I8_MAX}], got {f!r}")
 
 
+def _unwritable(arr):
+    """True when no reference can write arr's data: every array on its base
+    chain is read-only, and the chain ends in bytes or in an array that
+    owns its data.  Whoever holds such an owner could set its flag back;
+    the owners this module makes are held only by its own objects."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return isinstance(arr, bytes)
+
+
 def _as_int8(values, expect_len, what):
     arr = np.asarray(values)
     if arr.size != expect_len:
         raise ShapeError(f"{what} has {arr.size} elements, expected {expect_len}")
     arr = arr.reshape(-1)
-    if arr.size and (arr.min() < I8_MIN or arr.max() > I8_MAX):
+    if arr.dtype == np.int8:
+        # The dtype bounds the values; a view nobody can write is kept as is.
+        if _unwritable(arr):
+            return arr
+    elif arr.size and (arr.min() < I8_MIN or arr.max() > I8_MAX):
         raise ValueError(f"{what} contains values outside [{I8_MIN}, {I8_MAX}]")
     out = arr.astype(np.int8)
     out.setflags(write=False)

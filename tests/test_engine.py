@@ -27,7 +27,7 @@ from convaccel import (
     mpool_exec,
     plan_split,
 )
-from convaccel.engine import conv_out_dims, pool_out_dims
+from convaccel.engine import F32_EXACT_CI, conv_out_dims, pool_out_dims
 from convaccel.errors import ConfigTooSmallError, ShapeError
 from reference import check_plan, conv_ref, layer_ref, pool_ref, rescale_ref
 
@@ -132,6 +132,70 @@ def test_conv_all_min_int8_at_k_4608():
     got = conv_exec(ia, bank, spec)
     assert list(got.values) == conv_ref(ia, bank, spec)
     assert got.at(1, 1, 0) == rescale_ref(4608 * 2**14, scheme, 0)
+
+
+# A tap GEMM over ci channels sums ci products of magnitude <= 2**14; float32
+# holds that exactly up to ci = 1024.  Above it conv_exec must switch to float64.
+F32_EDGE_VALUES = (127, -127, -128)
+
+
+@pytest.mark.parametrize("ci", [F32_EXACT_CI, 1041])
+def test_conv_all_max_int8_at_float32_bound(ci):
+    # every product is 127*127; at ci = 1041 a tap sums to 16,790,289 > 2**24
+    scheme = DfpScheme(7, 7, 0, -7)
+    spec = LayerSpec(3, 1, 1, 2, False, None, scheme)
+    ia = QTensor3(3, 3, ci, np.full(9 * ci, 127, dtype=np.int8), 7)
+    bank = QFilterBank(2, 3, 3, ci, np.full(18 * ci, 127, dtype=np.int8), [0, 0], 7, 0)
+    assert list(conv_exec(ia, bank, spec).values) == conv_ref(ia, bank, spec)
+
+
+def _tap_pair_case(ci, a, w, tail_a, tail_w):
+    """A 3x3 valid convolution to one output pixel whose taps (0, 0) and (0, 1) sum
+    to about +-ci*a*w each but cancel to a small total; every other input is 0.
+
+    Tap (0, 0) multiplies activation a by weight w in every channel.  Tap (0, 1)
+    mirrors that product with a sign flip, except in its last channel, which holds
+    tail_a * tail_w.  The bias, shifted left by 8, brings the exact sum near 0
+    under an unshifted accumulator, so an error of 1 in either tap sum shows in
+    the int8 output.
+    """
+    if w != -128:
+        mirror = (a, -w)
+    elif a != -128:
+        mirror = (-a, w)
+    else:
+        mirror = (-128, 127)  # -128 * -128 has no mirror; the sum stays large
+    acts = np.zeros((3, 3, ci), dtype=np.int8)
+    weights = np.zeros((1, 3, 3, ci), dtype=np.int8)
+    acts[0, 0], weights[0, 0, 0] = a, w
+    acts[0, 1], weights[0, 0, 1] = mirror
+    acts[0, 1, -1], weights[0, 0, 1, -1] = tail_a, tail_w
+    exact = ci * a * w + (ci - 1) * mirror[0] * mirror[1] + tail_a * tail_w
+    bias = max(-128, min(127, round(-exact / 256)))
+    scheme = DfpScheme(0, 7, -1, 7)  # accumulator shift 0, bias shift -8
+    spec = LayerSpec(3, 1, 0, 1, False, None, scheme)
+    ia = QTensor3(3, 3, ci, acts.reshape(-1), 0)
+    bank = QFilterBank(1, 3, 3, ci, weights.reshape(-1), [bias], 7, -1)
+    return ia, bank, spec
+
+
+@pytest.mark.parametrize("ci", [F32_EXACT_CI, 1041])
+def test_conv_cancelling_taps_at_float32_bound(ci):
+    # 16129 - 16256 = -127; at ci = 1041 the first tap sums to 16,790,289,
+    # odd and above 2**24, so a float32 tap GEMM could not return it
+    ia, bank, spec = _tap_pair_case(ci, 127, 127, -128, 127)
+    got = conv_exec(ia, bank, spec)
+    assert list(got.values) == conv_ref(ia, bank, spec) == [-127]
+
+
+@given(
+    st.integers(1000, 1100),
+    *[st.sampled_from(F32_EDGE_VALUES) for _ in range(4)],
+)
+@settings(max_examples=60, deadline=None)
+def test_conv_tap_sums_near_float32_bound(ci, a, w, tail_a, tail_w):
+    ia, bank, spec = _tap_pair_case(ci, a, w, tail_a, tail_w)
+    assert list(conv_exec(ia, bank, spec).values) == conv_ref(ia, bank, spec)
 
 
 def test_conv_overflow_diagnostic():

@@ -68,6 +68,54 @@ def test_values_immutable():
         t.values[0] = 9
 
 
+def test_writeable_int8_source_is_copied():
+    src = np.array([1, 2, 3, 4], dtype=np.int8)
+    t = QTensor3(1, 2, 2, src, 0)
+    src[0] = 9
+    assert t.values.tolist() == [1, 2, 3, 4]
+    assert not np.shares_memory(t.values, src)
+
+
+def test_read_only_view_of_writeable_array_is_copied():
+    src = np.array([1, 2, 3, 4], dtype=np.int8)
+    view = src[:]
+    view.setflags(write=False)
+    t = QTensor3(1, 2, 2, view, 0)
+    src[0] = 9
+    assert t.values.tolist() == [1, 2, 3, 4]
+    assert not np.shares_memory(t.values, src)
+
+
+def test_int64_outside_int8_still_raises():
+    with pytest.raises(ValueError):
+        QTensor3(1, 1, 2, np.array([0, 128], dtype=np.int64), 0)
+    with pytest.raises(ValueError):
+        QFilterBank(1, 1, 1, 1, np.array([-129], dtype=np.int64), [0], 0, 0)
+
+
+def test_loaded_and_sliced_weights_are_shared_read_only(tmp_path):
+    bank = random_bank(seeded(17), 8, 3, 4)
+    path = tmp_path / "w.qfb"
+    save_bank(bank, path)
+    loaded = load_bank(path)
+    # np.frombuffer over the file's bytes, kept without a copy
+    root = loaded.weights
+    while isinstance(root, np.ndarray):
+        root = root.base
+    assert isinstance(root, bytes)
+    sub = loaded.slice_out_channels(2, 5)
+    assert np.shares_memory(sub.weights, loaded.weights)
+    assert np.shares_memory(sub.biases, loaded.biases)
+    for arr in (loaded.weights, loaded.biases, sub.weights, sub.biases):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    # a bank built from lists owns a read-only copy; its slices are views of it
+    own = bank.slice_out_channels(1, 3)
+    assert np.shares_memory(own.weights, bank.weights)
+    assert not own.weights.flags.writeable
+
+
 @given(
     st.integers(1, 4),
     st.integers(1, 4),
