@@ -17,7 +17,16 @@ not taken from validate's budgets, because conv_exec is public and runs
 whatever layer it is given.  The accumulator adds the f*f tap results in
 float64; each partial sum is at most K * 2**14 with K = f*f*ci, exact
 while K < 2**39, and validate caps K at the config's
-FILTERxFILTERxCHIN_MAX (4608 in conf6).
+FILTERxFILTERxCHIN_MAX (4608 in conf6).  The taps share one product
+buffer.
+
+The epilogue stays exact in float64 too.  quant.rescale_block takes the
+accumulator as it is, without an int64 copy: once its first range check
+passes, the accumulator is an integer below 2**31 in magnitude; adding
+the rounding term 2**(s-1) keeps it below 2**53 for every shift s <= 38
+that a scheme allows; scaling by 2**-s and floor are exact; and the fused
+ReLU is the final clip's lower bound, since
+clip(t, 0, 127) == max(clip(t, -128, 127), 0).
 
 When a layer's weights exceed the on-chip weight budget, the layer is
 split along the output-channel dimension into secondary convolutions
@@ -114,14 +123,13 @@ def conv_exec(ia: QTensor3, bank: QFilterBank, spec: LayerSpec) -> QTensor3:
     taps = bank.as_4d().transpose(1, 2, 3, 0).astype(gemm)  # (f, f, ci, co)
 
     acc = np.zeros((ho * wo, co))
+    product = np.empty((ho * wo, co), dtype=gemm)
     for fy in range(f):
         for fx in range(f):
             window = padded[fy : fy + s * ho : s, fx : fx + s * wo : s]
-            acc += window.reshape(ho * wo, ci) @ taps[fy, fx]
+            acc += np.matmul(window.reshape(ho * wo, ci), taps[fy, fx], out=product)
 
-    out = rescale_block(acc.astype(np.int64), spec.scheme, bank.biases)
-    if spec.relu:
-        out = np.maximum(out, 0)
+    out = rescale_block(acc, spec.scheme, bank.biases, relu=spec.relu)
     return QTensor3(ho, wo, co, out.reshape(-1), spec.scheme.output_frac)
 
 

@@ -57,8 +57,24 @@ INPUT_ID = "input"
 
 HOST_KINDS = ("concat", "global_avg_pool", "fully_connected", "softmax")
 
-# Weight rows converted to float64 at a time by a fully_connected node.
-FC_BLOCK_ROWS = 512
+# A fully_connected node converts its int8 weights to float64 in row blocks
+# of about this many bytes, so that a block stays in a core's L2 cache while
+# BLAS reads it.  256 KB to 512 KB ran fastest on a 2 MB-L2 Xeon; 16 MB
+# blocks (512 rows of fc6 at 64x64) took twice as long.
+FC_BLOCK_BYTES = 512 * 1024
+
+
+def fc_block_rows(k: int) -> int:
+    """Weight rows per float64 block of a fully_connected node with ``k`` inputs.
+
+    FC_BLOCK_BYTES of float64 rounded down to a multiple of 8 rows, and at
+    least 8.  The alignment, not the size, keeps the output bits: on the
+    shipped OpenBLAS with one thread the float64 GEMV sums each row in an
+    order set by the row's position in its block, and blocks of 1, 3, 5, 7
+    or 10 rows change bits where blocks of any multiple of 8 rows give the
+    bits of one GEMV over the whole matrix.
+    """
+    return max(8, FC_BLOCK_BYTES // (8 * k) // 8 * 8)
 
 
 @dataclass(frozen=True)
@@ -719,10 +735,13 @@ def run_network(
             # Converting the int8 weights in row blocks bounds the float64
             # copy.  Scaling by the power of two 2**-weight_frac_bits after
             # the matvec instead of before it commutes with every rounding,
-            # so the result is the same as (w * 2**-fp) @ flat.
+            # so the result is the same as (w * 2**-fp) @ flat.  A last
+            # block of one row would go to a dot product, which sums in
+            # another order, so it joins the block before it.
             w = bank.as_4d().reshape(node.units, flat.size)
-            rows = range(0, node.units, FC_BLOCK_ROWS)
-            acc = np.concatenate([w[r : r + FC_BLOCK_ROWS].astype(np.float64) @ flat for r in rows])
+            rows = fc_block_rows(flat.size)
+            blocks = np.split(w, range(rows, node.units - 1, rows))
+            acc = np.concatenate([blk.astype(np.float64) @ flat for blk in blocks])
             b = bank.biases.astype(np.float64) * 2.0**-bank.bias_frac_bits
             out = FTensor3(1, 1, node.units, acc * 2.0**-bank.weight_frac_bits + b)
         elif node.kind == "softmax":

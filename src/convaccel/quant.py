@@ -7,6 +7,17 @@ products are 16-bit; both are assumed never to overflow, and the
 simulator raises AccumulatorOverflow instead of wrapping if they do.
 ``rescale_block`` is the one rescale path, over whole numpy blocks; the
 naive scalar oracle it must match bit for bit lives in tests/reference.py.
+
+The rescale runs in float64 on accumulators holding exact integers (the
+engine's float64 tap sums, or int64), and every step is exact.  Once the
+first range check passes, the accumulator is an integer below 2**31 in
+magnitude.  Exponents lie in [FRAC_MIN, FRAC_MAX] = [-8, 15], so the shift
+s = fi + fp - fo lies in [-31, 38], and adding 2**(s-1) - (acc < 0) stays
+below 2**31 + 2**37 < 2**53.  Scaling by 2**-s only moves the exponent and
+``floor`` is exact, so floor((acc + 2**(s-1) - (acc < 0)) * 2**-s) equals
+the integer shift (acc + 2**(s-1) - (acc < 0)) >> s, which rounds half away
+from zero.  A fused ReLU is the final clip's lower bound:
+clip(t, 0, 127) == max(clip(t, -128, 127), 0).
 """
 
 from __future__ import annotations
@@ -83,31 +94,41 @@ def dequantize(t: QTensor3) -> FTensor3:
 
 
 def _shift_round_block(values: np.ndarray, shift: int) -> np.ndarray:
+    """values * 2**-shift rounded half away from zero, as a new float64 array."""
     if shift <= 0:
-        return values << -shift
-    # Half away from zero, no sign branch: for v < 0, -((-v + half) >> s) == (v + half - 1) >> s.
-    return (values + ((1 << (shift - 1)) - (values < 0))) >> shift
+        return values * 2.0**-shift
+    out = values + 2.0 ** (shift - 1)
+    out -= values < 0
+    out *= 2.0**-shift
+    return np.floor(out, out=out)
 
 
-def rescale_block(acc: np.ndarray, scheme: DfpScheme, biases: np.ndarray) -> np.ndarray:
+def _check_i32(part: np.ndarray, what: str) -> None:
+    # Written so that a NaN fails the check too.
+    if part.size and not (part.min() >= I32_MIN and part.max() <= I32_MAX):
+        raise AccumulatorOverflow(f"{what} outside 32-bit range")
+
+
+def rescale_block(
+    acc: np.ndarray, scheme: DfpScheme, biases: np.ndarray, relu: bool = False
+) -> np.ndarray:
     """Bring an (..., co) block of 32-bit MAC sums down to int8 output values.
 
-    The accumulator carries scale 2**-(fi+fp) and the bias 2**-fb; both
-    addends are shifted to the output scale, combined in 32 bits, and
-    saturated once.  ``biases`` broadcasts along the last axis.  The
-    accumulator, the shifted accumulator and the sum are checked against
-    the 32-bit range.  The shifted bias needs no check of its own: DfpScheme
-    bounds every exponent to [FRAC_MIN, FRAC_MAX] = [-8, 15], so the bias
-    shifts left by at most 23 and |b| <= 2**7 * 2**23 = 2**30.
+    ``acc`` is int64 or float64 holding integers, and is not written.  The
+    accumulator carries scale 2**-(fi+fp) and the bias 2**-fb; both addends
+    are shifted to the output scale, combined in 32 bits, and saturated
+    once, at 0 instead of -128 when ``relu`` is set.  ``biases`` broadcasts
+    along the last axis.  The accumulator, the shifted accumulator and the
+    sum are checked against the 32-bit range, in that order.  The shifted
+    bias needs no check of its own: DfpScheme bounds every exponent to
+    [FRAC_MIN, FRAC_MAX] = [-8, 15], so the bias shifts left by at most 23
+    and |b| <= 2**7 * 2**23 = 2**30.  The module docstring gives the
+    exactness argument for the float64 arithmetic.
     """
-    if acc.size and (acc.min() < I32_MIN or acc.max() > I32_MAX):
-        raise AccumulatorOverflow("accumulator outside 32-bit range")
-    a = _shift_round_block(acc, scheme.input_frac + scheme.weight_frac - scheme.output_frac)
-    b = _shift_round_block(
-        biases.astype(np.int64), scheme.bias_frac - scheme.output_frac
-    )
-    total = a + b
-    for part, what in ((a, "rescaled accumulator"), (total, "rescaled sum")):
-        if part.size and (part.min() < I32_MIN or part.max() > I32_MAX):
-            raise AccumulatorOverflow(f"{what} outside 32-bit range")
-    return np.clip(total, I8_MIN, I8_MAX).astype(np.int8)
+    _check_i32(acc, "accumulator")
+    total = _shift_round_block(acc, scheme.input_frac + scheme.weight_frac - scheme.output_frac)
+    _check_i32(total, "rescaled accumulator")
+    total += _shift_round_block(biases, scheme.bias_frac - scheme.output_frac)
+    _check_i32(total, "rescaled sum")
+    np.clip(total, 0 if relu else I8_MIN, I8_MAX, out=total)
+    return total.astype(np.int8)

@@ -367,6 +367,8 @@ def load_bank_any(path) -> QFilterBank | FFilterBank:
         header = _read_exact(fh, _BANK_HEADER.size, path, "header")
         magic, version, kind, wf, bf, co, fhh, fww, ci = _BANK_HEADER.unpack(header)
         _check_header(path, magic, BANK_MAGIC, version, kind, (co, fhh, fww, ci))
+        if (fhh, fww) not in ((1, 1), (3, 3)):
+            raise FormatError(f"{path}: filter dims must be 1x1 or 3x3, got {fhh}x{fww}")
         weights = _payload(fh, kind, co * fhh * fww * ci, path)
         biases = _payload(fh, kind, co, path)
         if fh.read(1):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import os
 import struct
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import convaccel
 from conftest import random_instance, random_tensor, seeded, wide_open_config
@@ -12,6 +16,7 @@ from convaccel import (
     FFilterBank,
     FTensor3,
     LayerSpec,
+    PoolSpec,
     choose_frac_bits,
     load_tensor,
     run_network,
@@ -20,7 +25,7 @@ from convaccel import (
 )
 from convaccel.cli import EXIT_LOAD, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from convaccel.config import save_config
-from convaccel.graph import ConvNode, NetworkGraph, save_network
+from convaccel.graph import ConvNode, HostNode, NetworkGraph, save_network
 from convaccel.tensors import QFilterBank, load_bank
 
 
@@ -654,3 +659,70 @@ def test_estimate_past_int64_matches_python_int_model(tmp_path, capsys, data_dir
     captured = capsys.readouterr()
     assert captured.out == want
     assert captured.err == ""
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A conv + fully_connected + softmax network on a 4x4x3 input, written as files."""
+    d = tmp_path_factory.mktemp("tiny_run")
+    rng = seeded(433)
+    save_bank(QFilterBank(4, 3, 3, 3, [rng.randint(-128, 127) for _ in range(108)],
+                          [rng.randint(-128, 127) for _ in range(4)], 5, 4), d / "c.qfb")
+    save_bank(QFilterBank(3, 1, 1, 16, [rng.randint(-128, 127) for _ in range(48)],
+                          [rng.randint(-128, 127) for _ in range(3)], 6, 3), d / "fc.qfb")
+    save_tensor(random_tensor(rng, 4, 4, 3, frac=4), d / "in.qt3")
+    net = NetworkGraph(
+        "tiny",
+        (4, 4, 3),
+        4,
+        [
+            ConvNode("c", 3, 1, 1, 4, True, PoolSpec(2), 3, 5, 4, "c.qfb", ("input",)),
+            HostNode("fc", "fully_connected", ("c",), units=3, params="fc.qfb"),
+            HostNode("sm", "softmax", ("fc",)),
+        ],
+        str(d),
+    )
+    save_network(net, d / "tiny.net")
+    save_config(wide_open_config(), d / "cfg.cfg")
+    argv = ["run", "--net", str(d / "tiny.net"), "--config", str(d / "cfg.cfg"),
+            "--input", str(d / "in.qt3"), "--out-dir", str(d / "out")]
+    return d, argv
+
+
+# (position, byte) replacements, then an optional cut or extension; small
+# positions, which Hypothesis favours, land in the headers.
+_EDITS = st.tuples(
+    st.sampled_from(("c.qfb", "fc.qfb", "in.qt3")),
+    st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+    st.one_of(st.none(), st.integers(0, 200), st.binary(min_size=1, max_size=8)),
+)
+
+
+@given(_EDITS)
+@example(("c.qfb", [(12, 1), (16, 9)], None))  # a 1x9 filter of the same payload size
+@settings(max_examples=150, deadline=None)
+def test_run_on_mutated_bank_or_input_exits_cleanly(tiny_run, edits):
+    # Every header field a mutation can set is checked against the file size
+    # before anything is allocated, so no example can claim a large buffer.
+    d, argv = tiny_run
+    name, replacements, tail = edits
+    path = d / name
+    original = path.read_bytes()
+    data = bytearray(original)
+    for pos, byte in replacements:
+        data[pos % len(data)] = byte
+    if isinstance(tail, int):
+        del data[tail:]
+    elif tail is not None:
+        data += tail
+    path.write_bytes(bytes(data))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        path.write_bytes(original)
+    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_LOAD), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == EXIT_OK:
+        assert "nan" not in out.getvalue()

@@ -20,7 +20,7 @@ from convaccel import (
 )
 from convaccel.engine import plan_split
 from convaccel.errors import LoadError, ParseError, ValidationError
-from convaccel.graph import FC_BLOCK_ROWS, ConvNode, HostNode, NetworkGraph, save_network
+from convaccel.graph import ConvNode, HostNode, NetworkGraph, fc_block_rows, save_network
 from reference import layer_ref
 
 
@@ -539,7 +539,7 @@ def test_fully_connected_real_domain(tmp_path):
 def test_fully_connected_blocked_matches_plain_formula(tmp_path):
     # a unit count that is not a multiple of the conversion block size
     rng = seeded(225)
-    units = FC_BLOCK_ROWS + 3
+    units = fc_block_rows(12) + 3
     ia = random_tensor(rng, 2, 2, 3, frac=4)
     fc_bank = random_bank(rng, units, 1, 12, wf=6, bf=5)
     save_bank(fc_bank, tmp_path / "fc.qfb")
@@ -554,6 +554,47 @@ def test_fully_connected_blocked_matches_plain_formula(tmp_path):
     w = fc_bank.as_4d().reshape(units, 12) * 2.0**-6
     b = fc_bank.biases.astype(float) * 2.0**-5
     assert np.array_equal(outputs["fc"].values, w @ dequantize(ia).values + b)
+
+
+def _fc_in_512_row_blocks(bank, flat):
+    """The fully_connected formula as computed with fixed 512-row weight blocks."""
+    w = bank.as_4d().reshape(bank.co, flat.size)
+    acc = np.concatenate([w[r : r + 512].astype(np.float64) @ flat for r in range(0, bank.co, 512)])
+    b = bank.biases.astype(np.float64) * 2.0**-bank.bias_frac_bits
+    return acc * 2.0**-bank.weight_frac_bits + b
+
+
+@pytest.mark.parametrize("tail", [3, 1])
+def test_fully_connected_chain_keeps_512_row_block_bits(tmp_path, tail):
+    # fc2 reads a float input: the softmax of fc1.  A fixed-point or one-hot input
+    # would keep every partial sum exact and hide the summation order.
+    # Blocks whose row counts are multiples of 8 sum every row as a 512-row
+    # block does; blocks of 1, 3, 5, 7 or 10 rows do not.  A unit count of
+    # 3 mod 8 ends in a short block, and one of 1 mod the block size would
+    # end in a one-row block, which run_network joins to the block before it.
+    rng = seeded(226)
+    units1 = 1027
+    units2 = 2 * fc_block_rows(units1) + tail
+    assert units2 % 8 == tail and units2 < 512
+    ia = random_tensor(rng, 2, 2, 3, frac=4)
+    bank1 = random_bank(rng, units1, 1, 12, wf=12, bf=12)  # small logits, spread softmax
+    bank2 = random_bank(rng, units2, 1, units1, wf=0, bf=15)  # biases too small to round the sums away
+    save_bank(bank1, tmp_path / "fc1.qfb")
+    save_bank(bank2, tmp_path / "fc2.qfb")
+    net = NetworkGraph(
+        "f",
+        (2, 2, 3),
+        4,
+        [
+            HostNode("fc1", "fully_connected", ("input",), units=units1, params="fc1.qfb"),
+            HostNode("sm", "softmax", ("fc1",)),
+            HostNode("fc2", "fully_connected", ("sm",), units=units2, params="fc2.qfb"),
+        ],
+        str(tmp_path),
+    )
+    outputs, _ = run_network(net, wide_open_config(), ia, emits=("fc1", "sm"))
+    assert np.array_equal(outputs["fc1"].values, _fc_in_512_row_blocks(bank1, dequantize(ia).values))
+    assert np.array_equal(outputs["fc2"].values, _fc_in_512_row_blocks(bank2, outputs["sm"].values))
 
 
 def test_missing_params_is_load_error(tmp_path):

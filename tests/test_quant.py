@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scheme, seeded
 from convaccel import DfpScheme, FTensor3, choose_frac_bits, dequantize, quantize
 from convaccel.errors import AccumulatorOverflow
-from convaccel.quant import I32_MAX, I32_MIN, _shift_round_block, rescale_block
+from convaccel.quant import FRAC_MAX, FRAC_MIN, I32_MAX, I32_MIN, _shift_round_block, rescale_block
 from reference import rescale_ref, shift_round_ref
 
 
@@ -170,6 +170,73 @@ def test_rescale_block_matches_reference_at_ties_and_edges():
         block = rescale_block(np.repeat(accs[:, None], 4, axis=1), scheme, biases)
         want = [[rescale_ref(int(a), scheme, int(b)) for b in biases] for a in accs]
         assert block.tolist() == want, shift
+
+
+_FRACS = st.integers(FRAC_MIN, FRAC_MAX)
+_EDGES = (I32_MIN - 1, I32_MIN, I32_MIN + 1, -1, 0, 1, I32_MAX - 1, I32_MAX, I32_MAX + 1)
+# (kind, m, d): a tie (2k+1) * 2**(s-1) + d, an int32 edge, a value that
+# rescales into the int8 range, or any value within one of the int32 range.
+_ACC_PARTS = st.tuples(
+    st.sampled_from(("tie", "edge", "near", "any")), st.integers(I32_MIN - 1, I32_MAX + 1), st.integers(-1, 1)
+)
+
+
+def _acc_from(kind, m, d, shift):
+    if kind == "tie" and shift > 0:
+        span = 1 << max(0, 31 - shift)  # keeps most ties inside 32 bits
+        return (2 * (m % span - span // 2) + 1) * 2 ** (shift - 1) + d
+    if kind == "edge":
+        return _EDGES[m % len(_EDGES)]
+    if kind == "near":
+        span = 256 << max(0, shift)
+        return m % span - span // 2
+    return m
+
+
+def _rescale_oracle(accs, scheme, biases, relu):
+    """The expected output list, or the AccumulatorOverflow message, from reference.py."""
+    s = scheme.input_frac + scheme.weight_frac - scheme.output_frac
+    shifted = [shift_round_ref(a, s) for a in accs]
+    totals = [v + shift_round_ref(b, scheme.bias_frac - scheme.output_frac) for v, b in zip(shifted, biases)]
+    for part, what in ((accs, "accumulator"), (shifted, "rescaled accumulator"), (totals, "rescaled sum")):
+        if any(not I32_MIN <= v <= I32_MAX for v in part):
+            return f"{what} outside 32-bit range"
+    return [max(v, 0) if relu else v for v in (rescale_ref(a, scheme, b) for a, b in zip(accs, biases))]
+
+
+@st.composite
+def _schemes(draw):
+    """Any scheme in the window, drawn so that each shift fi + fp - fo in [-31, 38] is as likely."""
+    shift = draw(st.integers(2 * FRAC_MIN - FRAC_MAX, 2 * FRAC_MAX - FRAC_MIN))
+    fo = draw(st.integers(max(FRAC_MIN, 2 * FRAC_MIN - shift), min(FRAC_MAX, 2 * FRAC_MAX - shift)))
+    fi = draw(st.integers(max(FRAC_MIN, shift + fo - FRAC_MAX), min(FRAC_MAX, shift + fo - FRAC_MIN)))
+    return DfpScheme(fi, shift + fo - fi, draw(_FRACS), fo)
+
+
+@given(
+    _schemes(),
+    st.lists(st.tuples(_ACC_PARTS, st.integers(-128, 127)), min_size=1, max_size=8),
+    st.booleans(),
+)
+@example(DfpScheme(-8, -8, 15, 15), [(("edge", 7, 0), -128), (("any", -(2**20), 0), 127)], False)
+@example(DfpScheme(15, 15, -8, -8), [(("tie", 5, 0), 127), (("edge", 1, 0), -128), (("tie", 0, 1), 3)], True)
+@example(DfpScheme(0, 0, 0, 0), [(("edge", 7, 0), 1)], False)
+@settings(max_examples=300, deadline=None)
+def test_rescale_block_float_and_int_accumulators_match_reference(scheme, cells, relu):
+    shift = scheme.input_frac + scheme.weight_frac - scheme.output_frac
+    accs = [_acc_from(*parts, shift) for parts, _ in cells]
+    biases = np.array([b for _, b in cells], dtype=np.int8)
+    want = _rescale_oracle(accs, scheme, biases.tolist(), relu)
+    for dtype in (np.int64, np.float64):
+        acc = np.array(accs, dtype=dtype)
+        before = acc.copy()
+        if isinstance(want, str):
+            with pytest.raises(AccumulatorOverflow, match=f"^{want}$"):
+                rescale_block(acc, scheme, biases, relu=relu)
+        else:
+            out = rescale_block(acc, scheme, biases, relu=relu)
+            assert out.dtype == np.int8 and out.tolist() == want
+        assert np.array_equal(acc, before)
 
 
 @given(st.data())
