@@ -1,7 +1,9 @@
 """Command-line interface: quantize, validate, run, estimate, sweep.
 
 Exit codes: 0 success, 2 parse/format error, 3 validation error,
-4 load error (missing, unreadable or mismatched artifact), 5 internal error.
+4 load error (missing, unreadable or mismatched artifact, an output that
+cannot be written, or quantize data whose exponent leaves the scheme
+window), 5 internal error.
 A reader that closes stdout early (``convaccel estimate ... | head``)
 ends the command quietly with exit 0.
 All reports are deterministic: fixed float precision, no timestamps.
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .graph import parse_network, run_network, validate
 from .perf import estimate_resources, network_perf
-from .quant import choose_frac_bits, quantize
+from .quant import FRAC_MAX, FRAC_MIN, choose_frac_bits, quantize
 from .tensors import (
     FFilterBank,
     FTensor3,
@@ -75,7 +77,10 @@ def _resource_lines(res):
 
 def cmd_quantize(args) -> int:
     def frac_bits(data):
-        return args.frac_bits if args.frac_bits is not None else choose_frac_bits(data)
+        f = args.frac_bits if args.frac_bits is not None else choose_frac_bits(data)
+        if not FRAC_MIN <= f <= FRAC_MAX:
+            raise ValueError(f"exponent {f} outside the scheme window [{FRAC_MIN}, {FRAC_MAX}]")
+        return f
 
     make_output_dir(args.out_dir)
     for path in args.files:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import ParseError, open_input
+from .errors import ParseError, open_input, open_output
 
 CONFIG_KEYS = {
     "FREQ": "freq_mhz",
@@ -153,62 +153,59 @@ def text_lines(path):
             yield line_no, line
 
 
-def _kv_lines(path):
+def _load_kv(path, types, what, build):
+    """The one key=value reader: parse each line with ``types[key]``, then
+    ``build`` the record from {key: value}; a ValueError there is line 0's."""
+    values = {}
     for line_no, line in text_lines(path):
         if "=" not in line:
             raise ParseError(path, line_no, f"expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        yield line_no, key, value
-
-
-def load_config(path) -> AccelConfig:
-    values = {}
-    for line_no, key, value in _kv_lines(path):
-        if key == "NAME":
-            values["name"] = value
-            continue
-        if key not in CONFIG_KEYS:
-            raise ParseError(path, line_no, f"unknown parameter {key!r}")
-        attr = CONFIG_KEYS[key]
+        if key not in types:
+            raise ParseError(path, line_no, f"unknown {what} {key!r}")
         try:
-            values[attr] = float(value) if attr == "freq_mhz" else int(value)
+            values[key] = types[key](value)
         except ValueError:
             raise ParseError(path, line_no, f"bad value for {key}: {value!r}") from None
-    missing = [FIELD_TO_KEY[a] for a in CONFIG_KEYS.values() if a not in values]
-    if missing:
-        raise ParseError(path, 0, f"missing parameters: {', '.join(missing)}")
     try:
-        return AccelConfig(**values)
+        return build(values)
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from None
 
 
-def save_config(cfg: AccelConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if cfg.name:
-            fh.write(f"NAME={cfg.name}\n")
-        for key, value in cfg.param_values().items():
+def _save_kv(pairs, path) -> None:
+    """The one key=value writer; floats in %g form."""
+    with open_output(path, "w", encoding="utf-8") as fh:
+        for key, value in pairs:
             fh.write(f"{key}={value:g}\n" if isinstance(value, float) else f"{key}={value}\n")
 
 
+_CONFIG_TYPES = {"NAME": str, **{key: float if key == "FREQ" else int for key in CONFIG_KEYS}}
+_CALIBRATION_TYPES = {f.name: int if f.type == "int" else float for f in fields(Calibration)}
+
+
+def _config(values):
+    missing = [key for key in CONFIG_KEYS if key not in values]
+    if missing:
+        raise ValueError(f"missing parameters: {', '.join(missing)}")
+    params = {attr: values[key] for key, attr in CONFIG_KEYS.items()}
+    return AccelConfig(**params, name=values.get("NAME", ""))
+
+
+def load_config(path) -> AccelConfig:
+    return _load_kv(path, _CONFIG_TYPES, "parameter", _config)
+
+
+def save_config(cfg: AccelConfig, path) -> None:
+    name = [("NAME", cfg.name)] if cfg.name else []
+    _save_kv(name + list(cfg.param_values().items()), path)
+
+
 def load_calibration(path) -> Calibration:
-    valid = {f.name: f.type for f in fields(Calibration)}
-    values = {}
-    for line_no, key, value in _kv_lines(path):
-        if key not in valid:
-            raise ParseError(path, line_no, f"unknown calibration field {key!r}")
-        try:
-            values[key] = int(value) if valid[key] == "int" else float(value)
-        except ValueError:
-            raise ParseError(path, line_no, f"bad value for {key}: {value!r}") from None
-    try:
-        return replace(DEFAULT_CALIBRATION, **values)
-    except ValueError as exc:
-        raise ParseError(path, 0, str(exc)) from None
+    return _load_kv(
+        path, _CALIBRATION_TYPES, "calibration field", lambda v: replace(DEFAULT_CALIBRATION, **v)
+    )
 
 
 def save_calibration(calib: Calibration, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(Calibration):
-            v = getattr(calib, f.name)
-            fh.write(f"{f.name}={v:g}\n" if isinstance(v, float) else f"{f.name}={v}\n")
+    _save_kv(((f.name, getattr(calib, f.name)) for f in fields(Calibration)), path)

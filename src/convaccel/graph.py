@@ -369,7 +369,7 @@ def parse_network(path) -> NetworkGraph:
 
 def save_network(net: NetworkGraph, path) -> None:
     lines = [f"network {net.name}", "input {} {} {}".format(*net.input_geom), f"input_frac {net.input_frac}"]
-    pool_names = {None: "none", PoolSpec(2): "2x2s2", PoolSpec(3): "3x3s2"}
+    pool_names = {spec: name for name, spec in _POOLS.items()}
     for node in net.nodes:
         if node.kind == "conv":
             fields = (

@@ -6,24 +6,37 @@ fastest-changing dimension: element (y, x, c) lives at index
 [out_ch][filter_h][filter_w][in_ch] order.  Both carry a power-of-two
 scale exponent ``frac_bits``: real value = raw * 2**-frac_bits.
 
+The int8 containers and their float twins (QTensor3/FTensor3,
+QFilterBank/FFilterBank) share one definition of their geometry checks,
+views and equality; they differ in element type and the int8 exponents.
+
 All objects are immutable after construction and safe to share.  Their
 int8 arrays are read-only; an int8 source that nothing can write (a
 ``np.frombuffer`` view of ``bytes``, as the file loaders give, or a view
 of another object's read-only array, as ``slice_out_channels`` gives) is
 shared without a copy.  Any other source is copied, after a range check
 unless its dtype is already int8.
+
+Both binary formats have one writer, which opens its output through
+``errors.open_output`` (an unwritable path is a LoadError), and one reader.
+The reader opens its path once, so a named pipe loads too.  It reads the
+magic, then runs each check once: the header, the payload size against the
+bytes the file holds (before the read, so a header alone cannot force a
+large allocation), the payload read and the trailing bytes.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ShapeError, open_input
+from .errors import CorruptionError, FormatError, ShapeError, open_input, open_output
 
 I8_MIN = -128
 I8_MAX = 127
@@ -63,7 +76,8 @@ def _as_int8(values, expect_len, what):
     arr = np.asarray(values)
     if arr.size != expect_len:
         raise ShapeError(f"{what} has {arr.size} elements, expected {expect_len}")
-    arr = arr.reshape(-1)
+    if arr.ndim != 1:
+        arr = arr.reshape(-1)
     if arr.dtype == np.int8:
         # The dtype bounds the values; a view nobody can write is kept as is.
         if _unwritable(arr):
@@ -75,31 +89,55 @@ def _as_int8(values, expect_len, what):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class QTensor3:
-    """Quantized 3-D activation volume, channel-fastest layout."""
+def _as_float64(values, expect_len, what):
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    if arr.size != expect_len:
+        raise ShapeError(f"{what} has {arr.size} elements, expected {expect_len}")
+    arr.setflags(write=False)
+    return arr
 
+
+class _Container:
+    """What an int8 container and its float twin share.
+
+    A subclass names its geometry (``geom``; ``_geometry`` checks it and
+    gives the length of each array in ``_ARRAYS``), the element conversion
+    (``_convert``) and the int8 twin's exponents (``_SCALES``).
+    """
+
+    _SCALES: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.geom == other.geom
+            and all(getattr(self, s) == getattr(other, s) for s in self._SCALES)
+            and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self._ARRAYS)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Volume(_Container):
     height: int
     width: int
     channels: int
     values: np.ndarray
-    frac_bits: int = 0
+
+    _ARRAYS = ("values",)
 
     def __post_init__(self):
-        _positive("height", self.height)
-        _positive("width", self.width)
-        _positive("channels", self.channels)
-        _check_frac("frac_bits", self.frac_bits)
-        n = self.height * self.width * self.channels
-        object.__setattr__(self, "values", _as_int8(self.values, n, "values"))
+        (n,) = self._geometry(self.height, self.width, self.channels)
+        for name in self._SCALES:
+            _check_frac(name, getattr(self, name))
+        object.__setattr__(self, "values", self._convert(self.values, n, "values"))
 
-    def at(self, y: int, x: int, c: int) -> int:
-        if not (0 <= y < self.height and 0 <= x < self.width and 0 <= c < self.channels):
-            raise IndexError(
-                f"index ({y}, {x}, {c}) out of range for "
-                f"{self.height}x{self.width}x{self.channels} tensor"
-            )
-        return int(self.values[(y * self.width + x) * self.channels + c])
+    @staticmethod
+    def _geometry(height, width, channels):
+        _positive("height", height)
+        _positive("width", width)
+        _positive("channels", channels)
+        return (height * width * channels,)
 
     def as_3d(self) -> np.ndarray:
         """Read-only (height, width, channels) view of the flat storage."""
@@ -109,81 +147,63 @@ class QTensor3:
     def geom(self) -> tuple[int, int, int]:
         return (self.height, self.width, self.channels)
 
-    def __eq__(self, other):
-        if not isinstance(other, QTensor3):
-            return NotImplemented
-        return (
-            self.geom == other.geom
-            and self.frac_bits == other.frac_bits
-            and np.array_equal(self.values, other.values)
-        )
+
+@dataclass(frozen=True, eq=False)
+class QTensor3(_Volume):
+    """Quantized 3-D activation volume, channel-fastest layout."""
+
+    frac_bits: int = 0
+
+    _SCALES = ("frac_bits",)
+    _convert = staticmethod(_as_int8)
+
+    def at(self, y: int, x: int, c: int) -> int:
+        if not (0 <= y < self.height and 0 <= x < self.width and 0 <= c < self.channels):
+            raise IndexError(
+                f"index ({y}, {x}, {c}) out of range for "
+                f"{self.height}x{self.width}x{self.channels} tensor"
+            )
+        return int(self.values[(y * self.width + x) * self.channels + c])
 
     def __repr__(self):
-        return (
-            f"QTensor3({self.height}x{self.width}x{self.channels}, "
-            f"frac_bits={self.frac_bits})"
-        )
+        return f"QTensor3({self.height}x{self.width}x{self.channels}, frac_bits={self.frac_bits})"
 
 
 @dataclass(frozen=True, eq=False)
-class FTensor3:
+class FTensor3(_Volume):
     """Real-valued tensor with QTensor3 geometry; the float reference domain."""
 
-    height: int
-    width: int
-    channels: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        _positive("height", self.height)
-        _positive("width", self.width)
-        _positive("channels", self.channels)
-        arr = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        n = self.height * self.width * self.channels
-        if arr.size != n:
-            raise ShapeError(f"values has {arr.size} elements, expected {n}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def as_3d(self) -> np.ndarray:
-        return self.values.reshape(self.height, self.width, self.channels)
-
-    @property
-    def geom(self) -> tuple[int, int, int]:
-        return (self.height, self.width, self.channels)
-
-    def __eq__(self, other):
-        if not isinstance(other, FTensor3):
-            return NotImplemented
-        return self.geom == other.geom and np.array_equal(self.values, other.values)
+    _convert = staticmethod(_as_float64)
 
     def __repr__(self):
         return f"FTensor3({self.height}x{self.width}x{self.channels})"
 
 
 @dataclass(frozen=True, eq=False)
-class QFilterBank:
-    """Quantized convolution parameters: weights [co][fh][fw][ci] plus per-output biases."""
-
+class _Bank(_Container):
     co: int
     fh: int
     fw: int
     ci: int
     weights: np.ndarray
     biases: np.ndarray
-    weight_frac_bits: int = 0
-    bias_frac_bits: int = 0
+
+    _ARRAYS = ("weights", "biases")
 
     def __post_init__(self):
-        _positive("co", self.co)
-        _positive("ci", self.ci)
-        if (self.fh, self.fw) not in ((1, 1), (3, 3)):
-            raise ShapeError(f"filter dims must be 1x1 or 3x3, got {self.fh}x{self.fw}")
-        _check_frac("weight_frac_bits", self.weight_frac_bits)
-        _check_frac("bias_frac_bits", self.bias_frac_bits)
-        n = self.co * self.fh * self.fw * self.ci
-        object.__setattr__(self, "weights", _as_int8(self.weights, n, "weights"))
-        object.__setattr__(self, "biases", _as_int8(self.biases, self.co, "biases"))
+        nw, nb = self._geometry(self.co, self.fh, self.fw, self.ci)
+        for name in self._SCALES:
+            _check_frac(name, getattr(self, name))
+        object.__setattr__(self, "weights", self._convert(self.weights, nw, "weights"))
+        object.__setattr__(self, "biases", self._convert(self.biases, nb, "biases"))
+
+    @staticmethod
+    def _geometry(co, fh, fw, ci):
+        _positive("co", co)
+        _positive("ci", ci)
+        if (fh, fw) not in ((1, 1), (3, 3)):
+            raise ShapeError(f"filter dims must be 1x1 or 3x3, got {fh}x{fw}")
+        return (co * fh * fw * ci, co)
 
     def as_4d(self) -> np.ndarray:
         return self.weights.reshape(self.co, self.fh, self.fw, self.ci)
@@ -192,70 +212,34 @@ class QFilterBank:
     def geom(self) -> tuple[int, int, int, int]:
         return (self.co, self.fh, self.fw, self.ci)
 
+
+@dataclass(frozen=True, eq=False)
+class QFilterBank(_Bank):
+    """Quantized convolution parameters: weights [co][fh][fw][ci] plus per-output biases."""
+
+    weight_frac_bits: int = 0
+    bias_frac_bits: int = 0
+
+    _SCALES = ("weight_frac_bits", "bias_frac_bits")
+    _convert = staticmethod(_as_int8)
+
     def slice_out_channels(self, start: int, stop: int) -> "QFilterBank":
         """Sub-bank covering output channels [start, stop); used by split-merge."""
         if not 0 <= start < stop <= self.co:
             raise ShapeError(f"bad output-channel range [{start}, {stop}) for co={self.co}")
-        return QFilterBank(
-            stop - start,
-            self.fh,
-            self.fw,
-            self.ci,
-            self.as_4d()[start:stop].reshape(-1),
-            self.biases[start:stop],
-            self.weight_frac_bits,
-            self.bias_frac_bits,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, QFilterBank):
-            return NotImplemented
-        return (
-            self.geom == other.geom
-            and self.weight_frac_bits == other.weight_frac_bits
-            and self.bias_frac_bits == other.bias_frac_bits
-            and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.biases, other.biases)
-        )
+        weights = self.as_4d()[start:stop].reshape(-1)
+        return QFilterBank(stop - start, self.fh, self.fw, self.ci, weights,
+                           self.biases[start:stop], self.weight_frac_bits, self.bias_frac_bits)
 
     def __repr__(self):
         return f"QFilterBank(co={self.co}, {self.fh}x{self.fw}, ci={self.ci})"
 
 
 @dataclass(frozen=True, eq=False)
-class FFilterBank:
+class FFilterBank(_Bank):
     """Real-valued filter bank; input domain of the quantizer."""
 
-    co: int
-    fh: int
-    fw: int
-    ci: int
-    weights: np.ndarray
-    biases: np.ndarray
-
-    def __post_init__(self):
-        _positive("co", self.co)
-        _positive("ci", self.ci)
-        if (self.fh, self.fw) not in ((1, 1), (3, 3)):
-            raise ShapeError(f"filter dims must be 1x1 or 3x3, got {self.fh}x{self.fw}")
-        n = self.co * self.fh * self.fw * self.ci
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        b = np.asarray(self.biases, dtype=np.float64).reshape(-1)
-        if w.size != n:
-            raise ShapeError(f"weights has {w.size} elements, expected {n}")
-        if b.size != self.co:
-            raise ShapeError(f"biases has {b.size} elements, expected {self.co}")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "biases", b)
-
-    def as_4d(self) -> np.ndarray:
-        return self.weights.reshape(self.co, self.fh, self.fw, self.ci)
-
-    @property
-    def geom(self) -> tuple[int, int, int, int]:
-        return (self.co, self.fh, self.fw, self.ci)
+    _convert = staticmethod(_as_float64)
 
 
 # ---------------------------------------------------------------------------
@@ -270,123 +254,109 @@ class FFilterBank:
 # payload, then bias payload.
 # ---------------------------------------------------------------------------
 
-_TENSOR_HEADER = struct.Struct("<4sBBb3I")
-_BANK_HEADER = struct.Struct("<4sBBbb4I")
+
+class _Format(NamedTuple):
+    magic: bytes
+    header: struct.Struct  # magic, version, kind, the int8 twin's exponents, geometry
+    name: str
+    kinds: tuple  # the container class of each element kind, by kind number
 
 
-def _read_exact(fh, n, path, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptionError(f"{path}: truncated {what} ({len(data)} of {n} bytes)")
-    return data
+_TENSOR = _Format(TENSOR_MAGIC, struct.Struct("<4sBBb3I"), "tensor", (QTensor3, FTensor3))
+_BANK = _Format(BANK_MAGIC, struct.Struct("<4sBBbb4I"), "filter bank", (QFilterBank, FFilterBank))
 
 
-def _check_header(path, magic, expected, version, kind, dims):
-    if magic != expected:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {expected!r}")
-    if version != FILE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if kind not in (KIND_INT8, KIND_FLOAT32):
-        raise FormatError(f"{path}: unknown element kind {kind}")
-    if min(dims) < 1:
-        raise FormatError(f"{path}: zero dimension in header {dims}")
+def _write(obj, path, fmt: _Format) -> None:
+    quantized = isinstance(obj, fmt.kinds[KIND_INT8])
+    # A float container has no exponents; its header holds 0 in their place.
+    scales = [getattr(obj, s) if quantized else 0 for s in fmt.kinds[KIND_INT8]._SCALES]
+    kind = KIND_INT8 if quantized else KIND_FLOAT32
+    with open_output(path, "wb") as fh:
+        fh.write(fmt.header.pack(fmt.magic, FILE_VERSION, kind, *scales, *obj.geom))
+        for name in obj._ARRAYS:
+            arr = getattr(obj, name)
+            fh.write(arr.tobytes() if quantized else arr.astype("<f4").tobytes())
 
 
-def _payload(fh, kind, count, path):
-    # Check the claimed size against a regular file before reading, so a header alone
-    # cannot force a large allocation; a pipe has no size, and _read_exact catches it short.
-    nbytes = count if kind == KIND_INT8 else 4 * count
-    st = os.fstat(fh.fileno())
-    left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else nbytes
-    if nbytes > left:
-        raise CorruptionError(f"{path}: truncated payload ({left} of {nbytes} bytes)")
-    raw = _read_exact(fh, nbytes, path, "payload")
+def _read(path, formats: tuple[_Format, ...], quantized=False):
+    """Load a file in one of ``formats``, picked by its magic; a magic that
+    matches none is reported against the first.  ``quantized`` refuses
+    float data."""
+    with open_input(path) as fh:
+        head = fh.read(len(TENSOR_MAGIC))
+        fmt = next((f for f in formats if f.magic == head), formats[0])
+        size = fmt.header.size
+        head += fh.read(size - len(head))
+        if len(head) != size:
+            raise CorruptionError(f"{path}: truncated header ({len(head)} of {size} bytes)")
+        magic, version, kind, *fields = fmt.header.unpack(head)
+        nscales = len(fmt.kinds[KIND_INT8]._SCALES)
+        scales, dims = fields[:nscales], tuple(fields[nscales:])
+        if magic != fmt.magic:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {fmt.magic!r}")
+        if version != FILE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if kind not in (KIND_INT8, KIND_FLOAT32):
+            raise FormatError(f"{path}: unknown element kind {kind}")
+        if min(dims) < 1:
+            raise FormatError(f"{path}: zero dimension in header {dims}")
+        cls = fmt.kinds[kind]
+        try:
+            lengths = cls._geometry(*dims)
+        except ShapeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            body, left = fh, st.st_size - fh.tell()
+        else:  # a pipe has no size: take what it sends, then check against that
+            body = io.BytesIO(fh.read())
+            left = len(body.getbuffer())
+        dtype = np.dtype(np.int8 if kind == KIND_INT8 else "<f4")
+        arrays = []
+        for count in lengths:
+            nbytes = count * dtype.itemsize
+            if nbytes > left:
+                raise CorruptionError(f"{path}: truncated payload ({left} of {nbytes} bytes)")
+            raw = body.read(nbytes)
+            if len(raw) != nbytes:
+                raise CorruptionError(f"{path}: truncated payload ({len(raw)} of {nbytes} bytes)")
+            left -= nbytes
+            arr = np.frombuffer(raw, dtype=dtype)
+            arrays.append(arr if kind == KIND_INT8 else arr.astype(np.float64))
+        if body.read(1):
+            raise CorruptionError(f"{path}: trailing bytes after payload")
     if kind == KIND_INT8:
-        return np.frombuffer(raw, dtype=np.int8)
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        return cls(*dims, *arrays, *scales)
+    if quantized:
+        raise FormatError(f"{path}: holds float data, expected a quantized {fmt.name}")
+    return cls(*dims, *arrays)
 
 
 def save_tensor(t: QTensor3 | FTensor3, path) -> None:
-    quantized = isinstance(t, QTensor3)
-    kind = KIND_INT8 if quantized else KIND_FLOAT32
-    frac = t.frac_bits if quantized else 0
-    with open(path, "wb") as fh:
-        fh.write(
-            _TENSOR_HEADER.pack(
-                TENSOR_MAGIC, FILE_VERSION, kind, frac, t.height, t.width, t.channels
-            )
-        )
-        if quantized:
-            fh.write(t.values.tobytes())
-        else:
-            fh.write(t.values.astype("<f4").tobytes())
+    _write(t, path, _TENSOR)
+
+
+def save_bank(bank: QFilterBank | FFilterBank, path) -> None:
+    _write(bank, path, _BANK)
 
 
 def load_tensor_any(path) -> QTensor3 | FTensor3:
     """Load a tensor file of either element kind."""
-    with open_input(path) as fh:
-        header = _read_exact(fh, _TENSOR_HEADER.size, path, "header")
-        magic, version, kind, frac, h, x, c = _TENSOR_HEADER.unpack(header)
-        _check_header(path, magic, TENSOR_MAGIC, version, kind, (h, x, c))
-        vals = _payload(fh, kind, h * x * c, path)
-        if fh.read(1):
-            raise CorruptionError(f"{path}: trailing bytes after payload")
-    if kind == KIND_INT8:
-        return QTensor3(h, x, c, vals, frac)
-    return FTensor3(h, x, c, vals)
+    return _read(path, (_TENSOR,))
 
 
 def load_tensor(path) -> QTensor3:
-    t = load_tensor_any(path)
-    if not isinstance(t, QTensor3):
-        raise FormatError(f"{path}: holds float data, expected a quantized tensor")
-    return t
-
-
-def save_bank(bank: QFilterBank | FFilterBank, path) -> None:
-    quantized = isinstance(bank, QFilterBank)
-    kind = KIND_INT8 if quantized else KIND_FLOAT32
-    wf = bank.weight_frac_bits if quantized else 0
-    bf = bank.bias_frac_bits if quantized else 0
-    with open(path, "wb") as fh:
-        fh.write(
-            _BANK_HEADER.pack(
-                BANK_MAGIC, FILE_VERSION, kind, wf, bf, bank.co, bank.fh, bank.fw, bank.ci
-            )
-        )
-        if quantized:
-            fh.write(bank.weights.tobytes())
-            fh.write(bank.biases.tobytes())
-        else:
-            fh.write(bank.weights.astype("<f4").tobytes())
-            fh.write(bank.biases.astype("<f4").tobytes())
+    return _read(path, (_TENSOR,), quantized=True)
 
 
 def load_bank_any(path) -> QFilterBank | FFilterBank:
-    with open_input(path) as fh:
-        header = _read_exact(fh, _BANK_HEADER.size, path, "header")
-        magic, version, kind, wf, bf, co, fhh, fww, ci = _BANK_HEADER.unpack(header)
-        _check_header(path, magic, BANK_MAGIC, version, kind, (co, fhh, fww, ci))
-        if (fhh, fww) not in ((1, 1), (3, 3)):
-            raise FormatError(f"{path}: filter dims must be 1x1 or 3x3, got {fhh}x{fww}")
-        weights = _payload(fh, kind, co * fhh * fww * ci, path)
-        biases = _payload(fh, kind, co, path)
-        if fh.read(1):
-            raise CorruptionError(f"{path}: trailing bytes after payload")
-    if kind == KIND_INT8:
-        return QFilterBank(co, fhh, fww, ci, weights, biases, wf, bf)
-    return FFilterBank(co, fhh, fww, ci, weights, biases)
+    return _read(path, (_BANK,))
 
 
 def load_bank(path) -> QFilterBank:
-    bank = load_bank_any(path)
-    if not isinstance(bank, QFilterBank):
-        raise FormatError(f"{path}: holds float data, expected a quantized filter bank")
-    return bank
+    return _read(path, (_BANK,), quantized=True)
 
 
 def load_any(path) -> QTensor3 | FTensor3 | QFilterBank | FFilterBank:
     """Load a tensor or a filter-bank file; the magic tells which."""
-    with open_input(path) as fh:
-        magic = fh.read(len(BANK_MAGIC))
-    return load_bank_any(path) if magic == BANK_MAGIC else load_tensor_any(path)
+    return _read(path, (_TENSOR, _BANK))

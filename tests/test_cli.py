@@ -4,13 +4,14 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import convaccel
-from conftest import random_instance, random_tensor, seeded, wide_open_config
+from conftest import DATA_DIR, random_instance, random_tensor, seeded, wide_open_config
 from convaccel import (
     DfpScheme,
     FFilterBank,
@@ -25,6 +26,7 @@ from convaccel import (
 )
 from convaccel.cli import EXIT_LOAD, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from convaccel.config import save_config
+from convaccel.quant import FRAC_MAX, FRAC_MIN, quantize
 from convaccel.graph import ConvNode, HostNode, NetworkGraph, save_network
 from convaccel.tensors import QFilterBank, load_bank
 
@@ -102,6 +104,46 @@ def test_quantize_nan_rejected(tmp_path, capsys):
     rc = main(["quantize", str(tmp_path / "bad.qt3"), "--out-dir", str(tmp_path / "out")])
     assert rc == EXIT_LOAD
     assert "bad.qt3" in capsys.readouterr().err
+
+
+# Exponents no DfpScheme accepts, chosen from the data or forced by the flag.
+@pytest.mark.parametrize(
+    "name, obj, flags, exponent",
+    [
+        ("huge.qt3", FTensor3(1, 1, 2, [1e38, -1e38]), [], -120),
+        ("subnormal.qt3", FTensor3(1, 1, 2, [1e-40, 1e-40]), [], 139),
+        ("small.qfb", FFilterBank(2, 1, 1, 2, [1e-6, -1e-6, 1e-6, 0.0], [0.5, -0.5]), [], 26),
+        ("t.qt3", FTensor3(1, 1, 2, [0.5, -0.25]), ["--frac-bits", str(FRAC_MAX + 5)], 20),
+        ("t.qt3", FTensor3(1, 1, 2, [0.5, -0.25]), ["--frac-bits", str(FRAC_MIN - 1)], -9),
+    ],
+    ids=["max-1e38", "max-1e-40", "bank-weights-1e-6", "forced-20", "forced--9"],
+)
+def test_quantize_exponent_outside_scheme_window_is_load_error(
+    tmp_path, capsys, name, obj, flags, exponent
+):
+    path = tmp_path / name
+    (save_bank if isinstance(obj, FFilterBank) else save_tensor)(obj, path)
+    out = tmp_path / "out"
+    assert main(["quantize", str(path), "--out-dir", str(out), *flags]) == EXIT_LOAD
+    err = capsys.readouterr().err
+    assert f"{path}: exponent {exponent} outside the scheme window [-8, 15]" in err
+    assert not (out / name).exists()
+
+
+@pytest.mark.parametrize("forced", [5, FRAC_MIN, FRAC_MAX])
+def test_quantize_honours_forced_frac_bits(tmp_path, capsys, forced):
+    t = FTensor3(1, 2, 2, [1.0, -0.5, 0.03, 3.0])
+    bank = FFilterBank(1, 1, 1, 2, [0.75, -0.125], [0.5])
+    save_tensor(t, tmp_path / "t.qt3")
+    save_bank(bank, tmp_path / "w.qfb")
+    argv = ["quantize", str(tmp_path / "t.qt3"), str(tmp_path / "w.qfb")]
+    assert main(argv + ["--out-dir", str(tmp_path / "out"), "--frac-bits", str(forced)]) == EXIT_OK
+    assert load_tensor(tmp_path / "out" / "t.qt3") == quantize(t, forced)
+    q = load_bank(tmp_path / "out" / "w.qfb")
+    assert (q.weight_frac_bits, q.bias_frac_bits) == (forced, forced)
+    assert q.weights.tolist() == quantize(FTensor3(1, 1, 2, bank.weights), forced).values.tolist()
+    assert q.biases.tolist() == quantize(FTensor3(1, 1, 1, bank.biases), forced).values.tolist()
+    assert f"frac_bits={forced}" in capsys.readouterr().out
 
 
 def test_run_identity_net_payload(tmp_path, capsys):
@@ -350,13 +392,19 @@ def test_non_finite_sweep_value_is_parse_error(tmp_path, capsys, data_dir, line)
     assert "bad.sw" in capsys.readouterr().err
 
 
+def _cli_env(**extra):
+    """The environment for running ``python -m convaccel`` from this checkout."""
+    env = dict(os.environ, **extra)
+    src_dir = os.path.dirname(os.path.dirname(convaccel.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_pipe_exits_quietly(data_dir, unbuffered):
     # squeezenet's report fits the stdout buffer, so with PYTHONUNBUFFERED
     # unset only the final flush meets the closed pipe
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
-    src_dir = os.path.dirname(os.path.dirname(convaccel.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    env = _cli_env(PYTHONUNBUFFERED=unbuffered)
     argv = [
         sys.executable, "-m", "convaccel", "estimate",
         "--net", os.path.join(data_dir, "networks", "squeezenet_v11.net"),
@@ -550,6 +598,76 @@ def test_quantize_out_dir_on_a_file_is_load_error(tmp_path, capsys):
     assert f"cannot write {blocker}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["quantize-qt3", "quantize-qfb", "run-emit"])
+def test_output_name_taken_by_a_directory_is_load_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "run-emit":
+        ia, bank, spec = random_instance(seeded(423), max_hw=5, max_ch=5)
+        net_path = _write_single_conv_net(tmp_path, ia, bank, spec)
+        save_config(wide_open_config(), tmp_path / "cfg.cfg")
+        save_tensor(ia, tmp_path / "in.qt3")
+        argv = ["run", "--net", net_path, "--config", str(tmp_path / "cfg.cfg"), "--input"]
+        argv += [str(tmp_path / "in.qt3"), "--out-dir", str(out), "--emit", "input"]
+        blocked = out / "input.qt3"
+    elif command == "quantize-qt3":
+        save_tensor(FTensor3(1, 1, 2, [0.5, -0.25]), tmp_path / "t.qt3")
+        argv = ["quantize", str(tmp_path / "t.qt3"), "--out-dir", str(out)]
+        blocked = out / "t.qt3"
+    else:
+        save_bank(FFilterBank(1, 1, 1, 2, [0.5, -0.25], [1.0]), tmp_path / "w.qfb")
+        argv = ["quantize", str(tmp_path / "w.qfb"), "--out-dir", str(out)]
+        blocked = out / "w.qfb"
+    blocked.mkdir(parents=True)
+    assert main(argv) == EXIT_LOAD
+    assert f"cannot write {blocked}" in capsys.readouterr().err
+
+
+def _feed_fifo(path, data):
+    """Make path a named pipe that a daemon thread writes data into once."""
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)
+
+    threading.Thread(target=write, daemon=True).start()
+
+
+# Run as a child process with a timeout, so a reader that blocks on the
+# pipe fails the test instead of hanging the suite.
+@pytest.mark.parametrize("case", ["float-qt3", "float-qfb", "oversize-int8-qt3-run"])
+def test_binary_input_from_a_named_pipe(tmp_path, data_dir, case):
+    out = tmp_path / "out"
+    if case == "oversize-int8-qt3-run":
+        fifo = tmp_path / "in.qt3"
+        _feed_fifo(fifo, struct.pack("<4sBBb3I", b"QT3\0", 1, 0, 0, HUGE, HUGE, HUGE))
+        argv = ["run", "--net", os.path.join(data_dir, "networks", "squeezenet_v11.net")]
+        argv += ["--config", os.path.join(data_dir, "configs", "conf1.cfg")]
+        argv += ["--input", str(fifo), "--out-dir", str(out)]
+    else:
+        name = "t.qt3" if case == "float-qt3" else "w.qfb"
+        regular = tmp_path / "regular" / name
+        regular.parent.mkdir()
+        if case == "float-qt3":
+            save_tensor(FTensor3(2, 1, 3, [0.5, -1.5, 2.0, 0.125, 3.0, -0.75]), regular)
+        else:
+            save_bank(FFilterBank(2, 1, 1, 2, [0.5, -1.5, 2.0, 0.125], [3.0, -0.75]), regular)
+        assert main(["quantize", str(regular), "--out-dir", str(tmp_path / "want")]) == EXIT_OK
+        fifo = tmp_path / name
+        _feed_fifo(fifo, regular.read_bytes())
+        argv = ["quantize", str(fifo), "--out-dir", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "convaccel", *argv],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    if case == "oversize-int8-qt3-run":
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert f"{fifo}: truncated payload (0 of " in proc.stderr
+    else:
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (out / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
 # Cost-model inputs whose integers pass 2**63, each with the estimate report
 # the scalar Python-int model printed for it.
 _TINY_NET = """network tiny
@@ -691,22 +809,17 @@ def tiny_run(tmp_path_factory):
 
 # (position, byte) replacements, then an optional cut or extension; small
 # positions, which Hypothesis favours, land in the headers.
-_EDITS = st.tuples(
-    st.sampled_from(("c.qfb", "fc.qfb", "in.qt3")),
-    st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
-    st.one_of(st.none(), st.integers(0, 200), st.binary(min_size=1, max_size=8)),
-)
+def _edits(*names):
+    return st.tuples(
+        st.sampled_from(names),
+        st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+        st.one_of(st.none(), st.integers(0, 200), st.binary(min_size=1, max_size=8)),
+    )
 
 
-@given(_EDITS)
-@example(("c.qfb", [(12, 1), (16, 9)], None))  # a 1x9 filter of the same payload size
-@settings(max_examples=150, deadline=None)
-def test_run_on_mutated_bank_or_input_exits_cleanly(tiny_run, edits):
-    # Every header field a mutation can set is checked against the file size
-    # before anything is allocated, so no example can claim a large buffer.
-    d, argv = tiny_run
-    name, replacements, tail = edits
-    path = d / name
+@contextlib.contextmanager
+def _mutated(path, replacements, tail):
+    """Apply one _edits example to the file at path, and restore it afterwards."""
     original = path.read_bytes()
     data = bytearray(original)
     for pos, byte in replacements:
@@ -716,13 +829,119 @@ def test_run_on_mutated_bank_or_input_exits_cleanly(tiny_run, edits):
     elif tail is not None:
         data += tail
     path.write_bytes(bytes(data))
-    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
+        yield
     finally:
         path.write_bytes(original)
+
+
+def _assert_exits_cleanly(argv):
+    """A documented exit code, no traceback, and no nan in a successful report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
     assert rc in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_LOAD), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if rc == EXIT_OK:
         assert "nan" not in out.getvalue()
+    return rc, out.getvalue()
+
+
+@given(_edits("c.qfb", "fc.qfb", "in.qt3"))
+@example(("c.qfb", [(12, 1), (16, 9)], None))  # a 1x9 filter of the same payload size
+@settings(max_examples=150, deadline=None)
+def test_run_on_mutated_bank_or_input_exits_cleanly(tiny_run, edits):
+    # Every header field a mutation can set is checked against the file size
+    # before anything is allocated, so no example can claim a large buffer.
+    d, argv = tiny_run
+    name, replacements, tail = edits
+    with _mutated(d / name, replacements, tail):
+        _assert_exits_cleanly(argv)
+
+
+@pytest.fixture(scope="module")
+def float_inputs(tmp_path_factory):
+    """A float tensor and a float filter bank, as quantize takes them."""
+    d = tmp_path_factory.mktemp("float_inputs")
+    rng = seeded(437)
+    save_tensor(FTensor3(2, 2, 3, [rng.uniform(-4, 4) for _ in range(12)]), d / "f.qt3")
+    save_bank(FFilterBank(2, 3, 3, 2, [rng.uniform(-1, 1) for _ in range(36)],
+                          [rng.uniform(-2, 2) for _ in range(2)]), d / "f.qfb")
+    return d
+
+
+@given(_edits("f.qt3", "f.qfb"))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_quantize_on_mutated_float_file_exits_cleanly(float_inputs, edits):
+    # As in the run fuzzer, payload sizes are checked against the file size
+    # before any read, so no example can claim a large buffer.
+    name, replacements, tail = edits
+    path = float_inputs / name
+    with _mutated(path, replacements, tail):
+        _assert_exits_cleanly(["quantize", str(path), "--out-dir", str(float_inputs / "out")])
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory):
+    """The tiny network, conf1 and the shipped calibration, as files."""
+    d = tmp_path_factory.mktemp("text_inputs")
+    (d / "tiny.net").write_text(_TINY_NET)
+    for sub, name in (("configs", "conf1.cfg"), ("calibration", "default.cal")):
+        with open(os.path.join(DATA_DIR, sub, name), "rb") as fh:
+            (d / name).write_bytes(fh.read())
+    return d
+
+
+@given(_edits("tiny.net", "conf1.cfg", "default.cal"))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_estimate_on_mutated_text_inputs_exits_cleanly(text_inputs, edits):
+    name, replacements, tail = edits
+    argv = ["estimate", "--net", str(text_inputs / "tiny.net")]
+    argv += ["--config", str(text_inputs / "conf1.cfg")]
+    argv += ["--calibration", str(text_inputs / "default.cal")]
+    with _mutated(text_inputs / name, replacements, tail):
+        _assert_exits_cleanly(argv)
+
+
+# A 27-point grid over the files above.  No line is longer than an axis line,
+# and only the axis lines name a parameter, so no mix of these lines and
+# tokens can make a larger grid.
+_SWEEP_LINES = (
+    "base conf1.cfg\nworkload tiny.net\naxis FREQ 100 200 300\naxis ICP 8 16 32\n"
+    "axis OCP 8 16 32\nconstraint max_dsp 280\nobjective latency dsp\ncap 27"
+).split("\n")
+_SWEEP_TOKENS = sorted({tok for line in _SWEEP_LINES for tok in line.split()})
+# Each edit drops a line, swaps two lines, or puts one of the file's own
+# tokens in place of another; indices wrap around.
+_SWEEP_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("drop"), st.integers(0, 20)),
+        st.tuples(st.just("swap"), st.integers(0, 20), st.integers(0, 20)),
+        st.tuples(st.just("token"), st.integers(0, 20), st.integers(0, 5),
+                  st.sampled_from(_SWEEP_TOKENS)),
+    ),
+    max_size=4,
+)
+
+
+@given(_SWEEP_EDITS)
+@example([])
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_sweep_on_mutated_sweep_file_exits_cleanly(text_inputs, edits):
+    lines = [line.split() for line in _SWEEP_LINES]
+    for op, i, *rest in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "swap":
+            j = rest[0] % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i][rest[0] % len(lines[i])] = rest[1]
+    path = text_inputs / "mutated.sw"
+    path.write_text("".join(" ".join(line) + "\n" for line in lines))
+    rc, out = _assert_exits_cleanly(["sweep", "--sweep", str(path)])
+    if not edits:
+        assert rc == EXIT_OK and out.startswith("27 points")

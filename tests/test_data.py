@@ -7,7 +7,8 @@ import pytest
 
 from conftest import DATA_DIR
 from convaccel import load_calibration, load_config, network_perf, parse_network, validate
-from convaccel.config import DEFAULT_CALIBRATION
+from convaccel.config import DEFAULT_CALIBRATION, AccelConfig, Calibration
+from convaccel.config import save_calibration, save_config
 
 NET_MACS_M = {
     # million multiply-accumulates of the accelerated layers; the workload
@@ -133,3 +134,22 @@ def test_network_files_roundtrip(path, tmp_path):
 def test_shipped_calibration_matches_package_default():
     calib = load_calibration(os.path.join(DATA_DIR, "calibration", "default.cal"))
     assert calib == DEFAULT_CALIBRATION
+
+
+def test_text_writers_pin_bytes(tmp_path):
+    # Canonical key order, NAME first when set, floats in %g form.
+    cfg = AccelConfig(150.5, 8, 16, 32, 16, 12, 3, 4096, 1152, 147456, 256, 7168, 256, "pin")
+    save_config(cfg, tmp_path / "p.cfg")
+    assert (tmp_path / "p.cfg").read_bytes() == (
+        b"NAME=pin\nFREQ=150.5\nAPACK=8\nPPACK=16\nICP=32\nOCP=16\nPE_DSP=12\n"
+        b"FILTER_MAX=3\nWINxCHIN_PAD_MAX=4096\nFILTERxFILTERxCHIN_MAX=1152\n"
+        b"CHOUTxFILTERxFILTERxCHIN_MAX=147456\nCHOUT_MAX=256\nPWINxPCH_MAX=7168\nPCH_MAX=256\n"
+    )
+    assert load_config(tmp_path / "p.cfg") == cfg
+    calib = Calibration(3, 400, 5, 6, 1.25, 0.5, 2.0)
+    save_calibration(calib, tmp_path / "p.cal")
+    assert (tmp_path / "p.cal").read_bytes() == (
+        b"k_pipe=3\nk_layer=400\nk_pool=5\nc_dsp=6\np0_w=1.25\n"
+        b"power_slope_w_per_100mhz=0.5\nhost_ns_per_unit=2\n"
+    )
+    assert load_calibration(tmp_path / "p.cal") == calib

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_bank, random_tensor, seeded
 from convaccel import FTensor3, QFilterBank, QTensor3, load_bank, load_tensor, save_bank, save_tensor
 from convaccel.errors import CorruptionError, FormatError, ShapeError
-from convaccel.tensors import load_bank_any, load_tensor_any
+from convaccel.tensors import FFilterBank, load_any, load_bank_any, load_tensor_any
 
 
 def test_at_single_element():
@@ -249,3 +249,35 @@ def test_save_load_identity(tmp_path_factory, h, x, c, frac, data):
     path = tmp_path_factory.mktemp("rt") / "t.qt3"
     save_tensor(t, path)
     assert load_tensor(path) == t
+
+
+# The writers' bytes for small files, field by field as README's "Binary
+# formats" gives them: magic, u8 version, u8 kind, the i8 exponents (0 for
+# float), u32 LE dims, then the payload (int8, or float32 LE).
+_PINNED_FILES = {
+    "int8-qt3": (
+        QTensor3(1, 2, 2, [1, -2, 127, -128], -3),
+        "51543300 01 00 fd 01000000 02000000 02000000 01fe7f80",
+    ),
+    "float-qt3": (
+        FTensor3(1, 1, 2, [1.0, -0.5]),
+        "51543300 01 01 00 01000000 01000000 02000000 0000803f 000000bf",
+    ),
+    "int8-qfb": (
+        QFilterBank(2, 1, 1, 1, [3, -1], [5, -7], 4, -2),
+        "51464200 01 00 04 fe 02000000 01000000 01000000 01000000 03ff 05f9",
+    ),
+    "float-qfb": (
+        FFilterBank(1, 1, 1, 2, [0.25, 2.0], [-1.0]),
+        "51464200 01 01 00 00 01000000 01000000 01000000 02000000 0000803e 00000040 000080bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_FILES))
+def test_writers_pin_readme_bytes(tmp_path, case):
+    obj, hex_bytes = _PINNED_FILES[case]
+    path = tmp_path / "f.bin"
+    (save_bank if case.endswith("qfb") else save_tensor)(obj, path)
+    assert path.read_bytes() == bytes.fromhex(hex_bytes)
+    assert load_any(path) == obj
