@@ -96,6 +96,14 @@ class AccelConfig:
         """Canonical-name -> value mapping, in fixed key order."""
         return {key: getattr(self, attr) for key, attr in CONFIG_KEYS.items()}
 
+    @classmethod
+    def from_params(cls, params, name: str = "") -> AccelConfig:
+        """The config of a canonical-name -> value mapping; the inverse of param_values()."""
+        missing = [key for key in CONFIG_KEYS if key not in params]
+        if missing:
+            raise ValueError(f"missing parameters: {', '.join(missing)}")
+        return cls(**{attr: params[key] for key, attr in CONFIG_KEYS.items()}, name=name)
+
 
 @dataclass(frozen=True)
 class Calibration:
@@ -122,12 +130,13 @@ class Calibration:
     host_ns_per_unit: float = 1.376
 
     def __post_init__(self):
-        for name in ("k_pipe", "k_layer", "k_pool", "c_dsp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("p0_w", "power_slope_w_per_100mhz", "host_ns_per_unit"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        # Annotations are strings under ``from __future__ import annotations``.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and value < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.host_ns_per_unit < 0:
             raise ValueError("host_ns_per_unit must be nonnegative")
 
@@ -184,16 +193,10 @@ _CONFIG_TYPES = {"NAME": str, **{key: float if key == "FREQ" else int for key in
 _CALIBRATION_TYPES = {f.name: int if f.type == "int" else float for f in fields(Calibration)}
 
 
-def _config(values):
-    missing = [key for key in CONFIG_KEYS if key not in values]
-    if missing:
-        raise ValueError(f"missing parameters: {', '.join(missing)}")
-    params = {attr: values[key] for key, attr in CONFIG_KEYS.items()}
-    return AccelConfig(**params, name=values.get("NAME", ""))
-
-
 def load_config(path) -> AccelConfig:
-    return _load_kv(path, _CONFIG_TYPES, "parameter", _config)
+    return _load_kv(
+        path, _CONFIG_TYPES, "parameter", lambda v: AccelConfig.from_params(v, v.get("NAME", ""))
+    )
 
 
 def save_config(cfg: AccelConfig, path) -> None:

@@ -11,6 +11,8 @@ Sweep description file, line oriented ('#' starts a comment):
     cap <n>                             # enumeration cap (default 100000)
 
 PE_DSP accepts the literal value ``ocp`` to track the OCP of each point.
+Each parameter takes at most one axis line and each objective appears at
+most once; a repeat is a parse error, as is anything after cap's value.
 Every axis combination becomes one design point; combinations that fail
 configuration validation or whose workloads are not legal are emitted as
 infeasible rows.  The latency objective is the summed end-to-end latency
@@ -24,20 +26,16 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-from .config import (
-    CONFIG_KEYS,
-    AccelConfig,
-    Calibration,
-    DEFAULT_CALIBRATION,
-    load_config,
-    text_lines,
-)
+from .config import CONFIG_KEYS, DEFAULT_CALIBRATION, AccelConfig, Calibration
+from .config import load_config, text_lines
 from .errors import ParseError, SweepCapError
 from .graph import NetworkGraph, parse_network, validate
 from .perf import estimate_resources, network_perf
 
 OBJECTIVES = ("latency", "dsp", "bram", "power")
-CONSTRAINT_KEYS = ("max_dsp", "max_bram_bytes", "max_power_w", "max_latency_ms")
+# Each resource constraint and the metric it bounds, in the order they are checked.
+RESOURCE_LIMITS = {"max_dsp": "dsp", "max_bram_bytes": "bram", "max_power_w": "power"}
+CONSTRAINT_KEYS = (*RESOURCE_LIMITS, "max_latency_ms")
 
 DEFAULT_CAP = 100000
 
@@ -76,30 +74,12 @@ class DesignPoint:
     note: str = ""
 
 
-def _resolve_pe_dsp(fields: dict) -> dict:
-    if fields.get("PE_DSP") == "ocp":
-        fields = dict(fields)
-        fields["PE_DSP"] = fields["OCP"]
-    return fields
-
-
-def _build_config(fields: dict, name: str) -> AccelConfig:
-    kwargs = {attr: fields[key] for key, attr in CONFIG_KEYS.items()}
-    kwargs["freq_mhz"] = float(kwargs["freq_mhz"])
-    for attr in kwargs:
-        if attr != "freq_mhz":
-            kwargs[attr] = int(kwargs[attr])
-    return AccelConfig(name=name, **kwargs)
-
-
 def _evaluate(cfg: AccelConfig, spec: SweepSpec, calib: Calibration):
     """Metrics dict plus a feasibility problem list for one valid config."""
-    problems = []
-    metrics = {}
     resources = estimate_resources(cfg, calib)
-    metrics["dsp"] = resources.dsp
-    metrics["bram"] = resources.bram_bytes
-    metrics["power"] = resources.power_w
+    metrics = {"dsp": resources.dsp, "bram": resources.bram_bytes, "power": resources.power_w}
+    problems = []
+    max_ms = spec.constraints.get("max_latency_ms")
     total = 0.0
     for net in spec.workloads:
         legality = validate(net, cfg)
@@ -110,21 +90,15 @@ def _evaluate(cfg: AccelConfig, spec: SweepSpec, calib: Calibration):
         ms = network_perf(net, cfg, calib).end_to_end_ms
         metrics[f"latency:{net.name}"] = ms
         total += ms
-        limit = spec.constraints.get("max_latency_ms")
-        if limit is not None and ms > limit:
+        if max_ms is not None and ms > max_ms:
             problems.append(f"{net.name}: latency {ms:.3f} ms over max_latency_ms")
     metrics["latency"] = total
     if problems:
         return metrics, problems
-    checks = (
-        ("max_dsp", metrics["dsp"]),
-        ("max_bram_bytes", metrics["bram"]),
-        ("max_power_w", metrics["power"]),
-    )
-    for key, value in checks:
+    for key, metric in RESOURCE_LIMITS.items():
         limit = spec.constraints.get(key)
-        if limit is not None and value > limit:
-            problems.append(f"{key} exceeded ({value} > {limit})")
+        if limit is not None and metrics[metric] > limit:
+            problems.append(f"{key} exceeded ({metrics[metric]} > {limit})")
     return metrics, problems
 
 
@@ -150,35 +124,28 @@ def _non_dominated(points, objectives) -> list[DesignPoint]:
 def enumerate_points(
     spec: SweepSpec, calib: Calibration = DEFAULT_CALIBRATION
 ) -> list[DesignPoint]:
-    """One evaluated DesignPoint per axis combination plus explicit points."""
-    axis_names = list(spec.axes)
-    size = 1
-    for values in spec.axes.values():
-        size *= len(values)
-    if not axis_names:
-        size = 0
+    """One evaluated DesignPoint per axis combination plus explicit points.
+
+    The cap is checked before any point is built; each point is then
+    evaluated as the axis product yields it.
+    """
+    size = math.prod(len(values) for values in spec.axes.values()) if spec.axes else 0
     if size + len(spec.points) > spec.cap:
         raise SweepCapError(
             f"sweep enumerates {size + len(spec.points)} points, cap is {spec.cap}"
         )
 
-    base_fields = spec.base.param_values()
-    assignments = []
-    for combo in itertools.product(*(spec.axes[a] for a in axis_names)) if axis_names else []:
-        fields = dict(base_fields)
-        fields.update(zip(axis_names, combo))
-        assignments.append(fields)
-    for extra in spec.points:
-        fields = dict(base_fields)
-        fields.update(extra)
-        assignments.append(fields)
-
+    base = spec.base.param_values()
+    combos = itertools.product(*spec.axes.values()) if spec.axes else ()
+    assigned = itertools.chain((dict(zip(spec.axes, c)) for c in combos), spec.points)
     points = []
-    for idx, fields in enumerate(assignments):
-        fields = _resolve_pe_dsp(fields)
+    for idx, overrides in enumerate(assigned):
+        fields = {**base, **overrides}
+        if fields["PE_DSP"] == "ocp":
+            fields["PE_DSP"] = fields["OCP"]
         try:
-            cfg = _build_config(fields, f"point{idx}")
-        except (ValueError, KeyError) as exc:
+            cfg = AccelConfig.from_params(fields, f"point{idx}")
+        except ValueError as exc:
             points.append(DesignPoint(fields, None, None, False, note=str(exc)))
             continue
         metrics, problems = _evaluate(cfg, spec, calib)
@@ -191,8 +158,17 @@ def enumerate_points(
 
 
 def pareto_front(points, objectives) -> list[DesignPoint]:
-    """Non-dominated feasible points, sorted by the objectives then config order."""
-    front = _non_dominated([p for p in points if p.feasible and p.metrics is not None], objectives)
+    """Non-dominated feasible points, sorted by the objectives then config order.
+
+    Points that enumerate_points marked ``dominated`` over these same points
+    are skipped.  Dominance is a strict partial order on a finite set, so each
+    marked point has an unmarked dominator, which also dominates all that the
+    marked one does: the front is unchanged.  So a sweep filters only its front
+    again, and points without marks get the full filter.
+    """
+    front = _non_dominated(
+        [p for p in points if p.feasible and not p.dominated and p.metrics is not None], objectives
+    )
 
     def sort_key(p):
         cfg_order = tuple(float(p.fields.get(k, 0)) for k in CONFIG_KEYS)
@@ -270,6 +246,8 @@ def load_sweep(path) -> SweepSpec:
             param = rest[0]
             if param not in CONFIG_KEYS:
                 raise ParseError(path, line_no, f"unknown parameter {param!r}")
+            if param in axes:
+                raise ParseError(path, line_no, f"axis {param} given twice")
             axes[param] = tuple(parse_value(param, v, line_no) for v in rest[1:])
         elif head == "point":
             fields = {}
@@ -294,11 +272,13 @@ def load_sweep(path) -> SweepSpec:
             for obj in rest:
                 if obj not in OBJECTIVES:
                     raise ParseError(path, line_no, f"unknown objective {obj!r}")
+                if obj in objectives:
+                    raise ParseError(path, line_no, f"objective {obj!r} given twice")
                 objectives.append(obj)
         elif head == "cap":
             try:
-                cap = int(rest[0])
-            except (IndexError, ValueError):
+                (cap,) = map(int, rest)
+            except ValueError:
                 raise ParseError(path, line_no, "cap takes one integer") from None
         else:
             raise ParseError(path, line_no, f"unknown directive {head!r}")

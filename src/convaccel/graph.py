@@ -286,13 +286,17 @@ def _parse_kv(pairs, path, line_no):
         raise ParseError(path, line_no, f"expected key=value, got {bad!r}") from None
 
 
-def _take_int(kv, key, path, line_no):
-    if key not in kv:
-        raise ParseError(path, line_no, f"missing {key}")
-    try:
-        return int(kv.pop(key))
-    except ValueError:
-        raise ParseError(path, line_no, f"bad integer for {key}") from None
+def _take_ints(kv, keys, path, line_no):
+    """Pop each of ``keys`` from ``kv`` as an int; name the first missing or malformed one."""
+    values = []
+    for key in keys:
+        try:
+            values.append(int(kv.pop(key)))
+        except KeyError:
+            raise ParseError(path, line_no, f"missing {key}") from None
+        except ValueError:
+            raise ParseError(path, line_no, f"bad integer for {key}") from None
+    return values
 
 
 def _parse_node(parts, path, line_no):
@@ -304,25 +308,19 @@ def _parse_node(parts, path, line_no):
         raise ParseError(path, line_no, f"node {node_id!r} missing inputs")
     inputs = tuple(s for s in kv.pop("inputs").split(",") if s)
     emit = kv.pop("emit", "0") not in ("0", "", "false")
-    params = kv.pop("params", None)
+    # Only conv and fully_connected nodes read a parameter bank.
+    params = kv.pop("params", None) if kind in ("conv", "fully_connected") else None
     if kind == "conv":
         pool_key = kv.pop("pool", "none")
         if pool_key not in _POOLS:
             raise ParseError(path, line_no, f"unknown pool {pool_key!r}")
-        try:
-            filt, stride, pad, co, relu, fo, fp, fb = map(int, map(kv.pop, _CONV_INTS))
-        except (KeyError, ValueError):
-            # Name the first missing or malformed field, in _CONV_INTS order.
-            fresh = _parse_kv(parts[2:], path, line_no)
-            for key in _CONV_INTS:
-                _take_int(fresh, key, path, line_no)
-            raise
+        filt, stride, pad, co, relu, fo, fp, fb = _take_ints(kv, _CONV_INTS, path, line_no)
         node = ConvNode(
             node_id, filt, stride, pad, co, relu != 0, _POOLS[pool_key],
             fo, fp, fb, params, inputs, emit,
         )
     elif kind in HOST_KINDS:
-        units = _take_int(kv, "units", path, line_no) if kind == "fully_connected" else 0
+        units = _take_ints(kv, ("units",), path, line_no)[0] if kind == "fully_connected" else 0
         node = HostNode(node_id, kind, inputs, units, params, emit)
     else:
         raise ParseError(path, line_no, f"unknown node kind {kind!r}")
@@ -352,8 +350,8 @@ def parse_network(path) -> NetworkGraph:
                 raise ParseError(path, line_no, "input dims must be integers") from None
         elif head == "input_frac":
             try:
-                input_frac = int(parts[1])
-            except (IndexError, ValueError):
+                (input_frac,) = map(int, parts[1:])
+            except ValueError:
                 raise ParseError(path, line_no, "input_frac takes one integer") from None
         elif head == "node":
             nodes.append(_parse_node(parts[1:], path, line_no))

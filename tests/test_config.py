@@ -1,0 +1,38 @@
+"""AccelConfig construction from canonical parameters and Calibration checks."""
+
+import math
+import os
+from dataclasses import fields
+
+import pytest
+
+from conftest import DATA_DIR
+from convaccel import load_config
+from convaccel.config import AccelConfig, Calibration
+
+
+@pytest.mark.parametrize("name", [f"conf{i}" for i in range(1, 7)])
+def test_from_params_inverts_param_values(name):
+    cfg = load_config(os.path.join(DATA_DIR, "configs", f"{name}.cfg"))
+    assert AccelConfig.from_params(cfg.param_values(), cfg.name) == cfg
+
+
+def test_from_params_names_missing_parameters():
+    params = load_config(os.path.join(DATA_DIR, "configs", "conf1.cfg")).param_values()
+    del params["ICP"], params["PCH_MAX"]
+    with pytest.raises(ValueError, match=r"^missing parameters: ICP, PCH_MAX$"):
+        AccelConfig.from_params(params)
+
+
+_BAD_VALUES = [
+    (f.name, bad)
+    for f in fields(Calibration)
+    for bad in ((-1,) if f.type == "int" else (math.nan, math.inf, -math.inf))
+]
+
+
+@pytest.mark.parametrize("field, value", _BAD_VALUES)
+def test_calibration_rejects_bad_field(field, value):
+    message = "must be nonnegative" if isinstance(value, int) else "must be finite"
+    with pytest.raises(ValueError, match=f"^{field} {message}$"):
+        Calibration(**{field: value})

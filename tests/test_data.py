@@ -1,14 +1,18 @@
 """Regression pins for the shipped workload networks and configurations."""
 
 import glob
+import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT
 from convaccel import load_calibration, load_config, network_perf, parse_network, validate
 from convaccel.config import DEFAULT_CALIBRATION, AccelConfig, Calibration
 from convaccel.config import save_calibration, save_config
+from convaccel.cli import EXIT_OK, main
 
 NET_MACS_M = {
     # million multiply-accumulates of the accelerated layers; the workload
@@ -153,3 +157,35 @@ def test_text_writers_pin_bytes(tmp_path):
         b"power_slope_w_per_100mhz=0.5\nhost_ns_per_unit=2\n"
     )
     assert load_calibration(tmp_path / "p.cal") == calib
+
+
+# sha256 of `convaccel sweep` stdout and of its --csv file, per shipped sweep.
+PINNED_SWEEPS = {
+    "reference_points": (
+        "e968429365e43acc0169b7b20a9eb6b7601499d6221bd9ae0957454f6ade7fa2",
+        "297e9934437fb091acc063a197aa6d88082b7557a3675d5d109164f8da25b4e4",
+    ),
+    "parallelism_grid": (
+        "d1f60b6239bc82a11377d0e68728005b09a29f186487cb4b0f113b18dc513990",
+        "4a7a04eb6fca62fcc8d6553f53b04c365389a21ac9f445b0d6649657d9c9bf8c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_shipped_sweeps_pin_bytes(tmp_path, capsys, name):
+    csv_path = tmp_path / "points.csv"
+    sweep = os.path.join(DATA_DIR, "sweeps", f"{name}.sw")
+    assert main(["sweep", "--sweep", sweep, "--csv", str(csv_path)]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    digests = (hashlib.sha256(out).hexdigest(), hashlib.sha256(csv_path.read_bytes()).hexdigest())
+    assert digests == PINNED_SWEEPS[name]
+
+
+def test_reference_points_script_runs():
+    script = os.path.join(REPO_ROOT, "scripts", "sweep_reference_points.py")
+    proc = subprocess.run(
+        [sys.executable, script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "5 of 6 points on the Pareto front" in proc.stdout

@@ -1,9 +1,13 @@
 import io
+import os
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import seeded, wide_open_config
+from convaccel import dse
+from convaccel.cli import EXIT_OK, EXIT_PARSE, main
 from convaccel.dse import (
     DesignPoint,
     SweepSpec,
@@ -12,7 +16,7 @@ from convaccel.dse import (
     pareto_front,
     write_csv,
 )
-from convaccel.errors import SweepCapError
+from convaccel.errors import ParseError, SweepCapError
 from convaccel.graph import ConvNode, NetworkGraph
 from reference import pareto_ref
 
@@ -171,10 +175,13 @@ def test_enumerated_dominated_flags_with_ties_match_bruteforce():
         },
         objectives=("latency", "dsp"),
     )
-    feasible = [p for p in enumerate_points(spec) if p.feasible]
+    points = enumerate_points(spec)
+    feasible = [p for p in points if p.feasible]
     rows = [tuple(p.metrics[o] for o in spec.objectives) for p in feasible]
     assert len(set(rows)) < len(rows)
     assert {i for i, p in enumerate(feasible) if not p.dominated} == pareto_ref(rows)
+    unmarked = [replace(p, dominated=False) for p in points]
+    assert pareto_front(points, spec.objectives) == pareto_front(unmarked, spec.objectives)
 
 
 def test_pareto_trivials():
@@ -242,3 +249,46 @@ def test_sweep_file_parsing(tmp_path, data_dir):
     assert spec.cap == 50
     points = enumerate_points(spec)
     assert len(points) == 5
+
+
+def test_sweep_filters_the_feasible_set_once(monkeypatch, capsys, data_dir):
+    sizes = []
+    inner = dse._non_dominated
+
+    def counting(points, objectives):
+        sizes.append(len(points))
+        return inner(points, objectives)
+
+    monkeypatch.setattr(dse, "_non_dominated", counting)
+    sweep = os.path.join(data_dir, "sweeps", "parallelism_grid.sw")
+    assert main(["sweep", "--sweep", sweep]) == EXIT_OK
+    feasible = int(capsys.readouterr().out.split(" points, ")[1].split()[0])
+    assert feasible > max(sizes[1:], default=0)
+    assert sizes.count(feasible) == 1
+
+
+@pytest.mark.parametrize(
+    "lines, line_no, message",
+    [
+        (["axis ICP 8 16", "axis ICP 32"], 4, "axis ICP given twice"),
+        (["axis ICP 8 16", "objective latency latency"], 4, "objective 'latency' given twice"),
+        (["axis ICP 8 16", "objective latency", "objective dsp latency"], 5,
+         "objective 'latency' given twice"),
+        (["axis ICP 8 16", "cap 10 junk"], 4, "cap takes one integer"),
+    ],
+    ids=["axis_twice", "objective_twice", "objective_twice_across_lines", "cap_extra"],
+)
+def test_sweep_input_that_would_be_dropped_is_parse_error(
+    tmp_path, capsys, data_dir, lines, line_no, message
+):
+    sweep = tmp_path / "bad.sw"
+    sweep.write_text(
+        f"base {os.path.join(data_dir, 'configs', 'conf1.cfg')}\n"
+        f"workload {os.path.join(data_dir, 'networks', 'squeezenet_v11.net')}\n"
+        + "".join(line + "\n" for line in lines)
+    )
+    with pytest.raises(ParseError) as err:
+        load_sweep(str(sweep))
+    assert str(err.value) == f"{sweep}:{line_no}: {message}"
+    assert main(["sweep", "--sweep", str(sweep)]) == EXIT_PARSE
+    assert f"{sweep}:{line_no}: {message}" in capsys.readouterr().err

@@ -178,6 +178,51 @@ def test_parse_errors_name_the_line(tmp_path):
         parse_network(str(path))
 
 
+_CONV_LINE = {
+    "filter": "3", "stride": "1", "pad": "1", "co": "4", "relu": "1", "fo": "4", "fp": "4", "fb": "4",
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "malformed"])
+@pytest.mark.parametrize("key", list(_CONV_LINE))
+def test_conv_integer_field_errors_name_the_key(tmp_path, key, fault):
+    fields = dict(_CONV_LINE)
+    if fault == "missing":
+        del fields[key]
+    else:
+        fields[key] = "x"
+    kv = " ".join(f"{k}={v}" for k, v in fields.items())
+    path = tmp_path / "bad.net"
+    path.write_text(f"network x\ninput 4 4 2\ninput_frac 4\nnode a conv {kv} inputs=input\n")
+    with pytest.raises(ParseError) as err:
+        parse_network(str(path))
+    expected = f"missing {key}" if fault == "missing" else f"bad integer for {key}"
+    assert str(err.value) == f"{path}:4: {expected}"
+
+
+_HEADER = "network x\ninput 4 4 2\ninput_frac 4\n"
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("network x\ninput 4 4 2\ninput_frac 4 junk\n", 3, "input_frac takes one integer"),
+        (_HEADER + "node a concat params=a.qfb inputs=input\n", 4, "unknown keys for 'a': ['params']"),
+        (_HEADER + "node a global_avg_pool params=a.qfb inputs=input\n", 4,
+         "unknown keys for 'a': ['params']"),
+        (_HEADER + "node a softmax params=a.qfb inputs=input\n", 4,
+         "unknown keys for 'a': ['params']"),
+    ],
+    ids=["input_frac_extra", "concat_params", "global_avg_pool_params", "softmax_params"],
+)
+def test_unread_network_input_is_parse_error(tmp_path, text, line_no, message):
+    path = tmp_path / "bad.net"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_network(str(path))
+    assert str(err.value) == f"{path}:{line_no}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # Legality
 # ---------------------------------------------------------------------------
