@@ -60,11 +60,11 @@ def _perf_lines(report):
         f"{'writeback':>11}{'restreams':>11}{'total':>12}{'ms':>10}"
     )
     lines.append(header)
-    row = "{0:<20}{1:>12}{2:>12}{3:>10}{4:>11}{6:>11}{7:>12}{8:>10.3f}".format
-    lines.extend(row(*r) for r in report.table())
-    for hp in report.host_ops:
-        desc = f"host:{hp.kind} units={hp.units}"
-        lines.append(f"{hp.node_id:<20}{desc:>68}{hp.latency_ms:>10.3f}")
+    # "%.0s" prints nothing: the pool cycles are not a column of the report.
+    lines.extend("%-20s%12d%12d%10d%11d%.0s%11d%12d%10.3f" % r for r in report.table())
+    for node_id, kind, units, ms in report.host_table():
+        desc = f"host:{kind} units={units}"
+        lines.append(f"{node_id:<20}{desc:>68}{ms:>10.3f}")
     lines.append(f"conv_total_ms {report.conv_ms:.3f}")
     lines.append(f"host_total_ms {report.host_ms:.3f}")
     lines.append(f"end_to_end_ms {report.end_to_end_ms:.3f}")

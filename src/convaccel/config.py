@@ -145,21 +145,24 @@ DEFAULT_CALIBRATION = Calibration()
 
 
 def text_lines(path):
-    """Yield (line_no, text) for each non-blank line of a UTF-8 text file, '#' comments cut.
+    """(line_no, text) of each non-blank line of a UTF-8 text file, '#' comments cut.
 
     Undecodable bytes are a ParseError and an unreadable path a LoadError.
     """
+    with open_input(path) as fh:
+        data = fh.read()
     try:
-        with open_input(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        line_no = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(path, line_no, f"not UTF-8 text ({exc.reason})") from None
-    # Text mode already turned every line ending into "\n".
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line
+    if "\r" in text:  # every line ending becomes "\n", as in text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return [
+        (line_no, line)
+        for line_no, raw in enumerate(text.split("\n"), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    ]
 
 
 def _load_kv(path, types, what, build):
@@ -169,7 +172,7 @@ def _load_kv(path, types, what, build):
     for line_no, line in text_lines(path):
         if "=" not in line:
             raise ParseError(path, line_no, f"expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = map(str.strip, line.split("=", 1))
         if key not in types:
             raise ParseError(path, line_no, f"unknown {what} {key!r}")
         try:

@@ -75,27 +75,36 @@ class LayerSpec:
     scheme: DfpScheme
 
     def __post_init__(self):
-        if self.filter not in (1, 3):
-            raise ValueError(f"filter must be 1 or 3, got {self.filter}")
-        if self.stride not in (1, 2):
-            raise ValueError(f"stride must be 1 or 2, got {self.stride}")
-        if self.filter == 1 and self.padding != 0:
-            raise ValueError("1x1 filters require padding 0")
-        if self.padding not in (0, 1):
-            raise ValueError(f"padding must be 0 or 1, got {self.padding}")
-        if self.co < 1:
-            raise ValueError(f"co must be positive, got {self.co}")
+        check_layer(self.filter, self.stride, self.padding, self.co)
+
+
+def check_layer(filter: int, stride: int, padding: int, co: int) -> None:
+    """LayerSpec's rules, which the network parser checks through this function too."""
+    if filter not in (1, 3):
+        raise ValueError(f"filter must be 1 or 3, got {filter}")
+    if stride not in (1, 2):
+        raise ValueError(f"stride must be 1 or 2, got {stride}")
+    if filter == 1 and padding != 0:
+        raise ValueError("1x1 filters require padding 0")
+    if padding not in (0, 1):
+        raise ValueError(f"padding must be 0 or 1, got {padding}")
+    if co < 1:
+        raise ValueError(f"co must be positive, got {co}")
+
+
+def out_dims(h: int, x: int, filter: int, stride: int, padding: int) -> tuple[int, int]:
+    """Output rows and columns of a filter x filter convolution over an h x x input."""
+    ho = (h + 2 * padding - filter) // stride + 1
+    wo = (x + 2 * padding - filter) // stride + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(
+            f"{h}x{x} input too small for filter {filter}, stride {stride}, padding {padding}"
+        )
+    return ho, wo
 
 
 def conv_out_dims(h: int, x: int, spec: LayerSpec) -> tuple[int, int]:
-    ho = (h + 2 * spec.padding - spec.filter) // spec.stride + 1
-    wo = (x + 2 * spec.padding - spec.filter) // spec.stride + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(
-            f"{h}x{x} input too small for filter {spec.filter}, "
-            f"stride {spec.stride}, padding {spec.padding}"
-        )
-    return ho, wo
+    return out_dims(h, x, spec.filter, spec.stride, spec.padding)
 
 
 def pool_out_dims(h: int, x: int, pool: PoolSpec) -> tuple[int, int]:

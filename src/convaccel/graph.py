@@ -18,8 +18,15 @@ Network description file, line oriented ('#' starts a comment):
     node <id> fully_connected units=1000 params=<qfb path> inputs=a
     node <id> softmax inputs=a
 
-A convolution's input exponent is inherited from its producer, so the
-quantization chain is consistent by construction.
+relu= and emit= take 0 or 1.  A convolution's input exponent is inherited
+from its producer, so the quantization chain is consistent by construction.
+
+parse_network reads a file in one pass over its lines into plain records,
+then one shape pass over them, in declaration order when the file is in
+order, gives the shape chain, the conv cost columns and the host nodes.
+Layer fields are checked by the rule functions LayerSpec and DfpScheme
+use themselves (engine.check_layer, quant.check_scheme).  ConvNode,
+HostNode, ShapedNode and LayerSpec objects are built only when read.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -35,6 +43,7 @@ from .config import AccelConfig, Calibration, DEFAULT_CALIBRATION, text_lines
 from .engine import (
     LayerSpec,
     PoolSpec,
+    check_layer,
     conv_exec,
     conv_out_dims,
     exec_with_split,
@@ -50,7 +59,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .quant import DfpScheme, dequantize
+from .quant import DfpScheme, check_scheme, dequantize
 from .tensors import FTensor3, QFilterBank, QTensor3, load_bank
 
 INPUT_ID = "input"
@@ -121,132 +130,159 @@ class ShapedNode:
     spec: LayerSpec | None
 
 
+# A node as the parser and the shape pass hold it, a plain tuple
+# (id, kind, inputs, attrs, params, emit): attrs is a conv's ConvNode fields
+# from filter to bias_frac and a host node's units.
+_CONV_ATTRS = ("filter", "stride", "padding", "co", "relu", "pool", "out_frac",
+               "weight_frac", "bias_frac")
+
+
+def _record(node):
+    conv = node.kind == "conv"
+    attrs = tuple(map(node.__getattribute__, _CONV_ATTRS)) if conv else node.units
+    return (node.id, node.kind, node.inputs, attrs, node.params, node.emit)
+
+
+def _node(record):
+    node_id, kind, inputs, attrs, params, emit = record
+    if kind == "conv":
+        return ConvNode(node_id, *attrs, params, inputs, emit)
+    return HostNode(node_id, kind, inputs, attrs, params, emit)
+
+
 class NetworkGraph:
     """Immutable layer DAG plus the graph input geometry and exponent.
 
     Shape inference also fixes what the cost model reads: ``conv_columns``,
     the perf.ConvColumns of the convolutions in topological order, and
     ``host_nodes``, (node_id, kind, units) per host node in that order.
+    The node objects (``nodes``, ``topo_order()``, ``shaped_nodes()``) are
+    built when first read, as PerfReport builds its rows.
     """
 
     def __init__(self, name, input_geom, input_frac, nodes, base_dir="."):
+        self.nodes = tuple(nodes)
+        self._build(name, input_geom, input_frac, [_record(n) for n in self.nodes], base_dir)
+
+    @classmethod
+    def from_records(cls, name, input_geom, input_frac, records, base_dir="."):
+        """The graph of node records (see _record), as parse_network reads them."""
+        net = cls.__new__(cls)
+        net._build(name, input_geom, input_frac, records, base_dir)
+        return net
+
+    def _build(self, name, input_geom, input_frac, records, base_dir):
         self.name = name
         self.input_geom = tuple(input_geom)
         self.input_frac = input_frac
-        self.nodes = tuple(nodes)
         self.base_dir = base_dir
+        self._records = records
         if min(self.input_geom) < 1:
             raise ValidationError(f"{name}: input geometry {self.input_geom} has a zero dim")
-        self._by_id = {}
-        for node in self.nodes:
-            if node.id == INPUT_ID or node.id in self._by_id:
-                raise ValidationError(f"{name}: duplicate or reserved node id {node.id!r}")
-            self._by_id[node.id] = node
-        self._order = self._toposort()
-        self._shaped = self._infer_shapes()
+        # Shape the nodes in declaration order.  That fails on any fault and
+        # on a node declared before its inputs; then _toposort reports the
+        # first fault of the structure, or gives an order in which shaping
+        # again reports the first fault of a node.  A file in which every
+        # node follows its inputs has no fault of the structure.
+        try:
+            self._infer_shapes(range(len(records)))
+        except (ValidationError, ValueError, KeyError):
+            self._infer_shapes(self._toposort())
 
     def _toposort(self):
-        known = set(self._by_id)
-        for node in self.nodes:
-            if not node.inputs:
-                raise ValidationError(f"{self.name}: node {node.id!r} has no inputs")
-            for ref in node.inputs:
-                if ref != INPUT_ID and ref not in known:
+        records, name = self._records, self.name
+        known = {INPUT_ID}
+        for node_id, *_ in records:
+            if node_id in known:
+                raise ValidationError(f"{name}: duplicate or reserved node id {node_id!r}")
+            known.add(node_id)
+        for node_id, _, inputs, *_ in records:
+            if not inputs:
+                raise ValidationError(f"{name}: node {node_id!r} has no inputs")
+            for ref in inputs:
+                if ref not in known:
                     raise ValidationError(
-                        f"{self.name}: node {node.id!r} references unknown input {ref!r}"
+                        f"{name}: node {node_id!r} references unknown input {ref!r}"
                     )
-        if self.nodes and not any(INPUT_ID in n.inputs for n in self.nodes):
-            raise ValidationError(f"{self.name}: no node consumes the graph input")
+        if records and not any(INPUT_ID in r[2] for r in records):
+            raise ValidationError(f"{name}: no node consumes the graph input")
         # Repeatedly take the first declared node whose inputs are all done:
-        # declaration order breaks every tie, so an ordered file keeps its order.
-        done, order, pending = {INPUT_ID}, [], list(self.nodes)
+        # declaration order breaks every tie.
+        done, order, pending = {INPUT_ID}, [], list(range(len(records)))
         while pending:
-            i = next((i for i, n in enumerate(pending) if done.issuperset(n.inputs)), None)
-            if i is None:
-                stuck = sorted(n.id for n in pending)
-                raise ValidationError(f"{self.name}: cycle involving {', '.join(stuck)}")
-            node = pending.pop(i)
-            done.add(node.id)
-            order.append(node)
-        return tuple(order)
+            k = next((k for k, i in enumerate(pending) if done.issuperset(records[i][2])), None)
+            if k is None:
+                stuck = sorted(records[i][0] for i in pending)
+                raise ValidationError(f"{name}: cycle involving {', '.join(stuck)}")
+            order.append(pending.pop(k))
+            done.add(records[order[-1]][0])
+        return order
 
-    def _infer_shapes(self):
+    def _infer_shapes(self, order):
         # geometry and quantization exponent per producer; frac None = real domain
         geom = {INPUT_ID: self.input_geom}
         frac = {INPUT_ID: self.input_frac}
-        shaped, conv_ids, conv_rows, host = [], [], [], []
-        # Layers repeat (vgg16 has 8 distinct of 13): one LayerSpec per distinct layer.
-        specs = {}
-        for node in self._order:
-            if node.kind == "conv":
-                if len(node.inputs) != 1:
-                    raise ValidationError(f"{node.id}: conv takes exactly one input")
-                src = node.inputs[0]
-                in_geom, in_frac = geom[src], frac[src]
+        conv_ids, conv_terms, host = [], [], []
+        # Exponents and layers repeat (zynqnet: one scheme in 26 convolutions).
+        schemes, layers = set(), set()
+        for node_id, kind, inputs, attrs, _, _ in map(self._records.__getitem__, order):
+            if node_id in geom:
+                raise ValidationError(f"{self.name}: duplicate or reserved node id {node_id!r}")
+            if kind == "conv":
+                if len(inputs) != 1:
+                    raise ValidationError(f"{node_id}: conv takes exactly one input")
+                src = inputs[0]
+                in_frac = frac[src]
                 if in_frac is None:
-                    raise ValidationError(f"{node.id}: conv input {src!r} is real-valued")
-                key = (
-                    node.filter, node.stride, node.padding, node.co, node.relu, node.pool,
-                    in_frac, node.weight_frac, node.bias_frac, node.out_frac,
-                )
-                spec = specs.get(key)
-                if spec is None:
-                    spec = specs[key] = LayerSpec(*key[:6], DfpScheme(*key[6:]))
+                    raise ValidationError(f"{node_id}: conv input {src!r} is real-valued")
+                f, s, p, co, _, pool, out_frac, fp, fb = attrs
+                # DfpScheme's rules first, as LayerSpec takes a built scheme.
+                if (in_frac, fp, fb, out_frac) not in schemes:
+                    check_scheme(in_frac, fp, fb, out_frac)
+                    schemes.add((in_frac, fp, fb, out_frac))
+                if (f, s, p, co) not in layers:
+                    check_layer(f, s, p, co)
+                    layers.add((f, s, p, co))
                 try:
-                    out_geom, row = perf.conv_terms(spec, in_geom)
+                    out_geom, terms = perf.conv_terms(geom[src], f, s, p, co, pool)
                 except ShapeError as exc:
-                    raise ValidationError(f"{node.id}: {exc}") from None
-                out_frac = node.out_frac
-                conv_ids.append(node.id)
-                conv_rows.append(row)
+                    raise ValidationError(f"{node_id}: {exc}") from None
+                conv_ids.append(node_id)
+                conv_terms += terms
             else:
-                in_geoms = [geom[r] for r in node.inputs]
-                in_fracs = [frac[r] for r in node.inputs]
-                out_geom, out_frac = self._host_shape(node, in_geoms, in_fracs)
-                in_geom, spec = in_geoms[0], None
-                (h, x, c), (oh, ox, oc) = in_geom, out_geom
-                units = perf.host_units(node.kind, h * x * c, oh * ox * oc)
-                host.append((node.id, node.kind, units))
-            geom[node.id] = out_geom
-            frac[node.id] = out_frac
-            shaped.append(ShapedNode(node.id, node.kind, in_geom, out_geom, spec))
-        self.conv_columns = perf.ConvColumns(conv_ids, conv_rows)
+                in_geoms = [geom[r] for r in inputs]
+                in_fracs = [frac[r] for r in inputs]
+                out_geom, out_frac = _host_shape(node_id, kind, attrs, in_geoms, in_fracs)
+                (h, x, c), (oh, ox, oc) = in_geoms[0], out_geom
+                host.append((node_id, kind, perf.host_units(kind, h * x * c, oh * ox * oc)))
+            geom[node_id] = out_geom
+            frac[node_id] = out_frac
+        self._order, self._geom, self._frac = order, geom, frac
+        self.conv_columns = perf.ConvColumns(conv_ids, conv_terms)
         self.host_nodes = tuple(host)
-        return tuple(shaped)
 
-    @staticmethod
-    def _host_shape(node, in_geoms, in_fracs):
-        """(output geometry, output exponent) of a host node; exponent None = real."""
-        if node.kind == "concat":
-            if len(node.inputs) < 2:
-                raise ValidationError(f"{node.id}: concat needs at least two inputs")
-            if any(f is None for f in in_fracs):
-                raise ValidationError(f"{node.id}: concat of real-valued inputs")
-            if len({g[:2] for g in in_geoms}) != 1:
-                raise ValidationError(f"{node.id}: concat inputs differ spatially")
-            if len(set(in_fracs)) != 1:
-                raise ValidationError(f"{node.id}: concat inputs differ in frac_bits")
-            h, x, _ = in_geoms[0]
-            return (h, x, sum(g[2] for g in in_geoms)), in_fracs[0]
-        if node.kind == "global_avg_pool":
-            if len(node.inputs) != 1 or in_fracs[0] is None:
-                raise ValidationError(f"{node.id}: global_avg_pool takes one quantized input")
-            return (1, 1, in_geoms[0][2]), in_fracs[0]
-        if node.kind == "fully_connected":
-            if len(node.inputs) != 1:
-                raise ValidationError(f"{node.id}: fully_connected takes one input")
-            if node.units < 1:
-                raise ValidationError(f"{node.id}: fully_connected needs units >= 1")
-            return (1, 1, node.units), None
-        if node.kind == "softmax":
-            if len(node.inputs) != 1:
-                raise ValidationError(f"{node.id}: softmax takes one input")
-            h, x, c = in_geoms[0]
-            return (1, 1, h * x * c), None
-        raise ValidationError(f"{node.id}: unknown node kind {node.kind!r}")
+    @cached_property
+    def nodes(self):
+        return tuple(map(_node, self._records))
 
     def topo_order(self):
-        return self._order
+        return tuple(map(self.nodes.__getitem__, self._order))
+
+    @cached_property
+    def _shaped(self):
+        specs, shaped = {}, []  # one LayerSpec per distinct layer
+        for node_id, kind, inputs, attrs, _, _ in map(self._records.__getitem__, self._order):
+            spec = None
+            if kind == "conv":
+                key = (attrs, self._frac[inputs[0]])
+                if key not in specs:
+                    f, s, p, co, relu, pool, out_frac, fp, fb = attrs
+                    scheme = DfpScheme(key[1], fp, fb, out_frac)
+                    specs[key] = LayerSpec(f, s, p, co, relu, pool, scheme)
+                spec = specs[key]
+            in_geom, out_geom = self._geom[inputs[0]], self._geom[node_id]
+            shaped.append(ShapedNode(node_id, kind, in_geom, out_geom, spec))
+        return tuple(shaped)
 
     def shaped_nodes(self):
         return self._shaped
@@ -258,13 +294,44 @@ class NetworkGraph:
         raise KeyError(node_id)
 
     def terminal_ids(self):
-        consumed = {r for n in self.nodes for r in n.inputs}
-        return tuple(n.id for n in self.nodes if n.id not in consumed)
+        consumed = {ref for r in self._records for ref in r[2]}
+        return tuple(r[0] for r in self._records if r[0] not in consumed)
 
     def mac_count(self) -> int:
         """Multiply-accumulate count of the accelerated layers."""
         v = self.conv_columns.values
         return sum(p * w for p, w in zip(v[perf.PIXELS].tolist(), v[perf.WEIGHTS].tolist()))
+
+
+def _host_shape(node_id, kind, units, in_geoms, in_fracs):
+    """(output geometry, output exponent) of a host node; exponent None = real."""
+    if kind == "concat":
+        if len(in_geoms) < 2:
+            raise ValidationError(f"{node_id}: concat needs at least two inputs")
+        if None in in_fracs:
+            raise ValidationError(f"{node_id}: concat of real-valued inputs")
+        if len({g[:2] for g in in_geoms}) != 1:
+            raise ValidationError(f"{node_id}: concat inputs differ spatially")
+        if len(set(in_fracs)) != 1:
+            raise ValidationError(f"{node_id}: concat inputs differ in frac_bits")
+        h, x, _ = in_geoms[0]
+        return (h, x, sum(g[2] for g in in_geoms)), in_fracs[0]
+    if kind == "global_avg_pool":
+        if len(in_geoms) != 1 or in_fracs[0] is None:
+            raise ValidationError(f"{node_id}: global_avg_pool takes one quantized input")
+        return (1, 1, in_geoms[0][2]), in_fracs[0]
+    if kind == "fully_connected":
+        if len(in_geoms) != 1:
+            raise ValidationError(f"{node_id}: fully_connected takes one input")
+        if units < 1:
+            raise ValidationError(f"{node_id}: fully_connected needs units >= 1")
+        return (1, 1, units), None
+    if kind == "softmax":
+        if len(in_geoms) != 1:
+            raise ValidationError(f"{node_id}: softmax takes one input")
+        h, x, c = in_geoms[0]
+        return (1, 1, h * x * c), None
+    raise ValidationError(f"{node_id}: unknown node kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,66 +345,86 @@ _POOLS = {"none": None, "2x2s2": PoolSpec(2), "3x3s2": PoolSpec(3)}
 _CONV_INTS = ("filter", "stride", "pad", "co", "relu", "fo", "fp", "fb")
 
 
-def _parse_kv(pairs, path, line_no):
-    try:
-        return dict([item.split("=", 1) for item in pairs])
-    except ValueError:
-        bad = next(item for item in pairs if "=" not in item)
-        raise ParseError(path, line_no, f"expected key=value, got {bad!r}") from None
-
-
 def _take_ints(kv, keys, path, line_no):
     """Pop each of ``keys`` from ``kv`` as an int; name the first missing or malformed one."""
-    values = []
-    for key in keys:
-        try:
-            values.append(int(kv.pop(key)))
-        except KeyError:
-            raise ParseError(path, line_no, f"missing {key}") from None
-        except ValueError:
-            raise ParseError(path, line_no, f"bad integer for {key}") from None
-    return values
+    n = len(kv)
+    try:
+        return list(map(int, map(kv.pop, keys)))
+    except KeyError as exc:
+        raise ParseError(path, line_no, f"missing {exc.args[0]}") from None
+    except ValueError:  # raised by the last key popped
+        raise ParseError(path, line_no, f"bad integer for {keys[n - len(kv) - 1]}") from None
 
 
-def _parse_node(parts, path, line_no):
-    if len(parts) < 2:
+def _flag(text, key, path, line_no):
+    """relu= and emit= take 0 or 1 only."""
+    if text not in ("0", "1"):
+        raise ParseError(path, line_no, f"{key} must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _node_fields(parts, path, line_no):
+    """(attrs, emit, params, inputs text) of the node line split into ``parts``."""
+    if len(parts) < 3:
         raise ParseError(path, line_no, "node needs an id and a kind")
-    node_id, kind = parts[0], parts[1]
-    kv = _parse_kv(parts[2:], path, line_no)
+    node_id, kind = parts[1], parts[2]
+    try:
+        kv = dict(map(str.split, parts[3:], repeat("="), repeat(1)))
+    except ValueError:
+        bad = next(item for item in parts[3:] if "=" not in item)
+        raise ParseError(path, line_no, f"expected key=value, got {bad!r}") from None
     if "inputs" not in kv:
         raise ParseError(path, line_no, f"node {node_id!r} missing inputs")
-    inputs = tuple(s for s in kv.pop("inputs").split(",") if s)
-    emit = kv.pop("emit", "0") not in ("0", "", "false")
+    inputs = kv.pop("inputs")
+    emit = _flag(kv.pop("emit", "0"), "emit", path, line_no)
     # Only conv and fully_connected nodes read a parameter bank.
     params = kv.pop("params", None) if kind in ("conv", "fully_connected") else None
     if kind == "conv":
         pool_key = kv.pop("pool", "none")
         if pool_key not in _POOLS:
             raise ParseError(path, line_no, f"unknown pool {pool_key!r}")
-        filt, stride, pad, co, relu, fo, fp, fb = _take_ints(kv, _CONV_INTS, path, line_no)
-        node = ConvNode(
-            node_id, filt, stride, pad, co, relu != 0, _POOLS[pool_key],
-            fo, fp, fb, params, inputs, emit,
-        )
+        relu = kv.get("relu")
+        f, s, p, co, _, fo, fp, fb = _take_ints(kv, _CONV_INTS, path, line_no)
+        attrs = (f, s, p, co, _flag(relu, "relu", path, line_no), _POOLS[pool_key], fo, fp, fb)
     elif kind in HOST_KINDS:
-        units = _take_ints(kv, ("units",), path, line_no)[0] if kind == "fully_connected" else 0
-        node = HostNode(node_id, kind, inputs, units, params, emit)
+        attrs = _take_ints(kv, ("units",), path, line_no)[0] if kind == "fully_connected" else 0
     else:
         raise ParseError(path, line_no, f"unknown node kind {kind!r}")
     if kv:
         raise ParseError(path, line_no, f"unknown keys for {node_id!r}: {sorted(kv)}")
-    return node
+    return attrs, emit, params, inputs
+
+
+def _parse_node(parts, path, line_no, seen):
+    """The record of the node line split into ``parts``, "node" first.
+
+    Layers repeat their fields (peleenet: 10 distinct sets in 114
+    convolutions).  ``seen`` keeps (attrs, emit) per kind and leading items
+    of a line that ends "params=P inputs=I", as save_network writes it: P
+    and I change neither, nor whether the line parses.  No item holds a
+    space, so joining them with spaces makes a key that splits back.
+    """
+    if len(parts) > 4 and parts[-2][:7] == "params=" and parts[-1][:7] == "inputs=":
+        key = " ".join(parts[2:-2])
+        if key not in seen:
+            seen[key] = _node_fields(parts, path, line_no)[:2]
+        (attrs, emit), params, inputs = seen[key], parts[-2][7:], parts[-1][7:]
+    else:
+        attrs, emit, params, inputs = _node_fields(parts, path, line_no)
+    return (parts[1], parts[2], tuple(filter(None, inputs.split(","))), attrs, params, emit)
 
 
 def parse_network(path) -> NetworkGraph:
     name = None
     input_geom = None
     input_frac = None
-    nodes = []
+    records, seen = [], {}
     for line_no, line in text_lines(path):
         parts = line.split()
         head = parts[0]
-        if head == "network":
+        if head == "node":
+            records.append(_parse_node(parts, path, line_no, seen))
+        elif head == "network":
             if len(parts) != 2:
                 raise ParseError(path, line_no, "network takes one name")
             name = parts[1]
@@ -353,14 +440,13 @@ def parse_network(path) -> NetworkGraph:
                 (input_frac,) = map(int, parts[1:])
             except ValueError:
                 raise ParseError(path, line_no, "input_frac takes one integer") from None
-        elif head == "node":
-            nodes.append(_parse_node(parts[1:], path, line_no))
         else:
             raise ParseError(path, line_no, f"unknown directive {head!r}")
     if name is None or input_geom is None or input_frac is None:
         raise ParseError(path, 0, "network, input, and input_frac headers are required")
+    base_dir = os.path.dirname(path) or "."
     try:
-        return NetworkGraph(name, input_geom, input_frac, nodes, os.path.dirname(path) or ".")
+        return NetworkGraph.from_records(name, input_geom, input_frac, records, base_dir)
     except (ValidationError, ValueError) as exc:
         raise ParseError(path, 0, str(exc)) from None
 

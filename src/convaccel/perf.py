@@ -59,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import AccelConfig, Calibration, DEFAULT_CALIBRATION
-from .engine import LayerSpec, conv_out_dims, pool_out_dims, split_groups
+from .engine import LayerSpec, conv_out_dims, out_dims, pool_out_dims, split_groups
 
 # Rows of ConvColumns.values.  validate compares the first five against
 # the buffer budgets in one step; the two pool rows hold 0 for a layer
@@ -118,7 +118,8 @@ class PerfReport:
     """Per-layer and end-to-end latency predictions for one network/config pair.
 
     ``layers`` and ``host_ops`` are built from the cost columns when first
-    read; ``table()`` yields the same per-layer numbers as plain tuples.
+    read; ``table()`` and ``host_table()`` yield the same numbers as plain
+    tuples.
     """
 
     def __init__(self, network, node_ids, cycles, layer_ms, host, host_ms):
@@ -133,13 +134,17 @@ class PerfReport:
         """Per layer: (node_id, the LayerCycles fields in order, total cycles, latency_ms)."""
         return zip(self._node_ids, *(c.tolist() for c in self._cycles), self._layer_ms)
 
+    def host_table(self):
+        """Per host node: (node_id, kind, units, latency_ms), HostPerf's fields in order."""
+        return ((*h, ms) for h, ms in zip(self._host, self._host_ms))
+
     @cached_property
     def layers(self) -> tuple[LayerPerf, ...]:
         return tuple(LayerPerf(row[0], LayerCycles(*row[1:7]), row[8]) for row in self.table())
 
     @cached_property
     def host_ops(self) -> tuple[HostPerf, ...]:
-        return tuple(HostPerf(*h, ms) for h, ms in zip(self._host, self._host_ms))
+        return tuple(HostPerf(*row) for row in self.host_table())
 
     @property
     def conv_ms(self) -> float:
@@ -161,21 +166,23 @@ class ResourceReport:
     power_w: float
 
 
-def conv_terms(spec: LayerSpec, in_geom: tuple[int, int, int]):
+def conv_terms(in_geom, filter: int, stride: int, padding: int, co: int, pool):
     """(post-pool output geometry, the layer's column of terms in row order).
 
-    Raises ShapeError when the input is too small for the filter or pool.
+    Takes a LayerSpec's geometry fields as plain values, so that the
+    network parser need not build one.  Raises ShapeError when the input
+    is too small for the filter or pool.
     """
     h, x, ci = in_geom
-    ho, wo = conv_out_dims(h, x, spec)
+    ho, wo = out_dims(h, x, filter, stride, padding)
     hp, wp, pool_cells, pool_co = ho, wo, 0, 0
-    if spec.pool:
-        hp, wp = pool_out_dims(ho, wo, spec.pool)
-        pool_cells, pool_co = hp * wp * spec.pool.window**2, spec.co
-    co, taps = spec.co, spec.filter * spec.filter
+    if pool:
+        hp, wp = pool_out_dims(ho, wo, pool)
+        pool_cells, pool_co = hp * wp * pool.window**2, co
+    taps = filter * filter
     per_out = taps * ci
     row = (
-        taps, (x + 2 * spec.padding) * ci, per_out, wo * co if pool_co else 0, pool_co,
+        taps, (x + 2 * padding) * ci, per_out, wo * co if pool_co else 0, pool_co,
         ci, co, h * x * ci, hp * wp * co, co * per_out, ho * wo, pool_cells,
     )
     return (hp, wp, co), row
@@ -189,27 +196,27 @@ class ConvColumns:
     every term fits, else Python ints (dtype object).
     """
 
-    def __init__(self, node_ids, rows):
+    def __init__(self, node_ids, terms):
+        """``terms``: each layer's column of terms (conv_terms), one after another."""
         self.node_ids = tuple(node_ids)
         try:
-            values = np.array(rows, dtype=np.int64)
+            values = np.array(terms, dtype=np.int64)
         except OverflowError:
-            values = np.array(rows, dtype=object)
+            values = np.array(terms, dtype=object)
+        values = values.reshape(len(self.node_ids), N_TERMS)
         # A copy, so that each row is contiguous: ufuncs over strided rows
         # cost about half as much again per call.
-        self.values = values.reshape(len(rows), N_TERMS).T.copy()
-        # The module docstring's bound, maximized over the layers term by
-        # term, less the calibration terms; _pipe, the factor of k_pipe, is
-        # at least 1 so that the bound also covers k_pipe itself.
-        self._bound = max(
-            (
-                r[PIXELS] * r[CO] * r[PER_OUT] + r[CO] * r[IN_ELEMS] + r[WEIGHTS] + r[CO]
-                + r[POOL_CELLS] * r[CO] + r[OUT_ELEMS]
-                for r in rows
-            ),
-            default=0,
+        self.values = values.T.copy()
+        # The module docstring's bound with every term at its largest over
+        # the layers, less the calibration terms: no layer's bound exceeds
+        # it, since no term is negative.  _pipe, the factor of k_pipe, is at
+        # least 1 so that the bound also covers k_pipe itself.
+        m = values.max(axis=0).tolist() if self.node_ids else [0] * N_TERMS
+        self._bound = (
+            m[PIXELS] * m[CO] * m[PER_OUT] + m[CO] * m[IN_ELEMS] + m[WEIGHTS] + m[CO]
+            + m[POOL_CELLS] * m[CO] + m[OUT_ELEMS]
         )
-        self._pipe = max((r[PIXELS] * r[CO] for r in rows), default=1)
+        self._pipe = max(m[PIXELS] * m[CO], 1)
 
     def select(self, cfg: AccelConfig, calib: Calibration | None = None):
         """``values``, as Python ints unless every value formed under cfg and calib fits int64."""
@@ -273,7 +280,8 @@ def conv_cycles(
     h, x, ci = in_geom
     conv_out_dims(h, x, spec)
     split_groups(spec.co, spec.filter * spec.filter * ci, cfg)
-    cols = ConvColumns(("",), [conv_terms(spec, in_geom)[1]])
+    row = conv_terms(in_geom, spec.filter, spec.stride, spec.padding, spec.co, spec.pool)[1]
+    cols = ConvColumns(("",), row)
     return LayerCycles(*(int(c[0]) for c in layer_cycles(cols, cfg, calib)[:6]))
 
 

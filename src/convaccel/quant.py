@@ -50,10 +50,14 @@ class DfpScheme:
     output_frac: int
 
     def __post_init__(self):
-        for name in ("input_frac", "weight_frac", "bias_frac", "output_frac"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not FRAC_MIN <= v <= FRAC_MAX:
-                raise ValueError(f"{name}={v!r} outside sanity window [{FRAC_MIN}, {FRAC_MAX}]")
+        check_scheme(self.input_frac, self.weight_frac, self.bias_frac, self.output_frac)
+
+
+def check_scheme(*fracs) -> None:
+    """DfpScheme's rules, which the network parser checks through this function too."""
+    for name, v in zip(("input_frac", "weight_frac", "bias_frac", "output_frac"), fracs):
+        if not isinstance(v, (int, np.integer)) or not FRAC_MIN <= v <= FRAC_MAX:
+            raise ValueError(f"{name}={v!r} outside sanity window [{FRAC_MIN}, {FRAC_MAX}]")
 
 
 def choose_frac_bits(data) -> int:

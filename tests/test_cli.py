@@ -354,6 +354,19 @@ def test_bad_network_file_is_parse_error(tmp_path, capsys):
     assert "broken.net" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", ["relu=2 emit=0", "relu=-7 emit=0", "relu=1 emit=no"])
+def test_flag_other_than_0_or_1_is_parse_error(tmp_path, capsys, data_dir, flags):
+    path = tmp_path / "flags.net"
+    path.write_text(
+        "network x\ninput 4 4 2\ninput_frac 4\n"
+        f"node a conv filter=3 stride=1 pad=1 co=4 {flags} pool=none fo=4 fp=4 fb=4 inputs=input\n"
+    )
+    cfg = os.path.join(data_dir, "configs", "conf6.cfg")
+    assert main(["estimate", "--net", str(path), "--config", cfg]) == EXIT_PARSE
+    key, value = next(f.split("=") for f in flags.split() if f not in ("relu=1", "emit=0"))
+    assert capsys.readouterr().err == f"error: {path}:4: {key} must be 0 or 1, got {value!r}\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_freq_is_parse_error(tmp_path, capsys, data_dir, value):
     net = os.path.join(data_dir, "networks", "squeezenet_v11.net")

@@ -135,6 +135,48 @@ def test_network_files_roundtrip(path, tmp_path):
     ]
 
 
+# sha256 of save_network's bytes and of repr(shaped_nodes()) per network,
+# recorded from the node-object parser that the column parser replaced.
+# "peleenet_shuffled" is peleenet.net with its node lines shuffled, which
+# takes the topological sort rather than declaration order.
+PINNED_GRAPH_DIGESTS = {
+    "peleenet": ("db87933d43ca46d93e63f4408d0dc1011a3ff0c94bd6538c2ececb2763a3ef0e",
+                 "68d179b5cff844155f0f653b9445a1b4c5863bcf567285d3fac946fd6c11ae66"),
+    "squeezenet_v11": ("dacfdcf3812c9166dcf69f365f5f47e30e250a36494b51449094e4f603effcd6",
+                       "f9133e004e2bb25d81f31d7469b4c9116b38831f6b7b00f3e2184ab71641f220"),
+    "vgg16": ("6f71640fc54dbb4d3bb3caa0da8efe1d39b54399f347a9e1a720ce5f6b061e92",
+              "6f2f7b74949b3690da3eb1bb92eb6f41ccd77a7bc83afa24f180fd122ad219ff"),
+    "zynqnet": ("befb5beb1b81c99928b635b9ffcbbcbfc90b13771486667444024f2cb8968f14",
+                "d20f2529cfa80cd30887c1778b243cdb2d08a3e9d5d1b47749702d9001a234f9"),
+    "peleenet_shuffled": ("1a22762b9a1a9e1873ad7a19b8e18fa6aceca2778761fdeb3f809b36be41d15e",
+                          "0d47e6ad3a0f7bd700a0d049b40ee1f9edf8fcd56412bee116c901f915d2745c"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_GRAPH_DIGESTS))
+def test_graph_digests_pinned(tmp_path, name):
+    import random
+
+    from convaccel.graph import save_network
+
+    path = os.path.join(DATA_DIR, "networks", f"{name.removesuffix('_shuffled')}.net")
+    if name.endswith("_shuffled"):
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        nodes = [line for line in lines if line.startswith("node ")]
+        random.Random(14).shuffle(nodes)
+        path = tmp_path / "shuffled.net"
+        header = [line for line in lines if not line.startswith("node ")]
+        path.write_text("\n".join(header + nodes) + "\n")
+    net = parse_network(str(path))
+    save_network(net, str(tmp_path / "out.net"))
+    digests = (
+        hashlib.sha256((tmp_path / "out.net").read_bytes()).hexdigest(),
+        hashlib.sha256(repr(net.shaped_nodes()).encode()).hexdigest(),
+    )
+    assert digests == PINNED_GRAPH_DIGESTS[name]
+
+
 def test_shipped_calibration_matches_package_default():
     calib = load_calibration(os.path.join(DATA_DIR, "calibration", "default.cal"))
     assert calib == DEFAULT_CALIBRATION

@@ -223,6 +223,222 @@ def test_unread_network_input_is_parse_error(tmp_path, text, line_no, message):
     assert str(err.value) == f"{path}:{line_no}: {message}"
 
 
+def _conv(node_id, inputs, **fields):
+    kv = {**dict(filter=3, stride=1, pad=1, co=4, relu=1, fo=4, fp=4, fb=4), **fields}
+    return f"node {node_id} conv {' '.join(f'{k}={v}' for k, v in kv.items())} inputs={inputs}\n"
+
+
+_FC = "node fc fully_connected units=4 inputs=input\n"
+
+# One case per check of parse_network and NetworkGraph, and cases where two
+# checks fail at once and the earlier one must win.  The expected texts were
+# recorded from the node-object parser that the column parser replaced.
+_PARSE_ERRORS = {
+    "network_arity": ("network x y\ninput 4 4 2\ninput_frac 4\n", 1, "network takes one name"),
+    "input_arity": ("network x\ninput 4 4\ninput_frac 4\n", 2, "input takes H X C"),
+    "input_not_int": ("network x\ninput 4 four 2\ninput_frac 4\n", 2,
+                      "input dims must be integers"),
+    "input_frac_not_int": ("network x\ninput 4 4 2\ninput_frac four\n", 3,
+                           "input_frac takes one integer"),
+    "input_frac_no_value": ("network x\ninput 4 4 2\ninput_frac\n", 3,
+                            "input_frac takes one integer"),
+    "unknown_directive": (_HEADER + "layer a conv\n", 4, "unknown directive 'layer'"),
+    "node_without_kind": (_HEADER + "node a\n", 4, "node needs an id and a kind"),
+    "not_key_value": (_HEADER + "node a conv filter=3 x inputs=input\n", 4,
+                      "expected key=value, got 'x'"),
+    "missing_inputs": (_HEADER + "node a conv filter=3\n", 4, "node 'a' missing inputs"),
+    "unknown_pool": (_HEADER + _conv("a", "input", pool="4x4s2"), 4, "unknown pool '4x4s2'"),
+    "fc_missing_units": (_HEADER + "node fc fully_connected inputs=input\n", 4, "missing units"),
+    "fc_bad_units": (_HEADER + "node fc fully_connected units=ten inputs=input\n", 4,
+                     "bad integer for units"),
+    "unknown_kind": (_HEADER + "node a deconv inputs=input\n", 4, "unknown node kind 'deconv'"),
+    "unknown_keys": (_HEADER + _conv("a", "input", bogus=1, extra=2), 4,
+                     "unknown keys for 'a': ['bogus', 'extra']"),
+    "missing_headers": ("network x\ninput 4 4 2\n", 0,
+                        "network, input, and input_frac headers are required"),
+    "not_key_value_beats_missing_inputs": (_HEADER + "node a conv x\n", 4,
+                                           "expected key=value, got 'x'"),
+    "missing_inputs_beats_unknown_kind": (_HEADER + "node a deconv filter=3\n", 4,
+                                          "node 'a' missing inputs"),
+    "unknown_pool_beats_missing_integer": (_HEADER + "node a conv pool=9x9 inputs=input\n", 4,
+                                           "unknown pool '9x9'"),
+    "missing_integer_beats_unknown_keys": (_HEADER + "node a conv bogus=1 inputs=input\n", 4,
+                                           "missing filter"),
+    "line_error_beats_graph_error": (_HEADER + _conv("a", "input") * 2 + "bogus\n", 6,
+                                     "unknown directive 'bogus'"),
+    "zero_dim": ("network x\ninput 0 4 2\ninput_frac 4\n" + _conv("a", "input"), 0,
+                 "x: input geometry (0, 4, 2) has a zero dim"),
+    "duplicate_id": (_HEADER + _conv("a", "input") * 2, 0, "x: duplicate or reserved node id 'a'"),
+    "reserved_id": (_HEADER + _conv("input", "input"), 0,
+                    "x: duplicate or reserved node id 'input'"),
+    "duplicate_beats_unknown_input": (_HEADER + _conv("a", "zz") + _conv("b", "a") * 2, 0,
+                                      "x: duplicate or reserved node id 'b'"),
+    "no_inputs": (_HEADER + _conv("a", ""), 0, "x: node 'a' has no inputs"),
+    "no_inputs_commas": (_HEADER + _conv("a", ",,"), 0, "x: node 'a' has no inputs"),
+    "unknown_input": (_HEADER + _conv("a", "input") + _conv("b", "zz"), 0,
+                      "x: node 'b' references unknown input 'zz'"),
+    "no_inputs_beats_later_unknown": (_HEADER + _conv("a", "") + _conv("b", "zz"), 0,
+                                      "x: node 'a' has no inputs"),
+    "no_consumer": (_HEADER + _conv("a", "b") + _conv("b", "a"), 0,
+                    "x: no node consumes the graph input"),
+    "cycle": (_HEADER + _conv("a", "input") + _conv("z", "y") + _conv("y", "z"), 0,
+              "x: cycle involving y, z"),
+    "self_cycle": (_HEADER + _conv("a", "input") + _conv("b", "b"), 0, "x: cycle involving b"),
+    "cycle_beats_layer": (
+        _HEADER + _conv("a", "input", filter=5) + _conv("b", "c") + _conv("c", "b"), 0,
+        "x: cycle involving b, c"),
+    "conv_arity": (_HEADER + _conv("a", "input") + _conv("b", "input,a"), 0,
+                   "b: conv takes exactly one input"),
+    "conv_real_input": (_HEADER + _FC + _conv("a", "fc"), 0, "a: conv input 'fc' is real-valued"),
+    "arity_beats_real_input": (_HEADER + _FC + _conv("a", "fc,input"), 0,
+                               "a: conv takes exactly one input"),
+    "real_input_beats_layer": (_HEADER + _FC + _conv("a", "fc", filter=5), 0,
+                               "a: conv input 'fc' is real-valued"),
+    "filter_range": (_HEADER + _conv("a", "input", filter=5), 0, "filter must be 1 or 3, got 5"),
+    "stride_range": (_HEADER + _conv("a", "input", stride=3), 0, "stride must be 1 or 2, got 3"),
+    "pointwise_padding": (_HEADER + _conv("a", "input", filter=1, pad=1), 0,
+                          "1x1 filters require padding 0"),
+    "padding_range": (_HEADER + _conv("a", "input", pad=2), 0, "padding must be 0 or 1, got 2"),
+    "co_range": (_HEADER + _conv("a", "input", co=0), 0, "co must be positive, got 0"),
+    "input_frac_range": ("network x\ninput 4 4 2\ninput_frac 16\n" + _conv("a", "input"), 0,
+                         "input_frac=16 outside sanity window [-8, 15]"),
+    "weight_frac_range": (_HEADER + _conv("a", "input", fp=-9), 0,
+                          "weight_frac=-9 outside sanity window [-8, 15]"),
+    "bias_frac_range": (_HEADER + _conv("a", "input", fb=16), 0,
+                        "bias_frac=16 outside sanity window [-8, 15]"),
+    "output_frac_range": (_HEADER + _conv("a", "input", fo=99), 0,
+                          "output_frac=99 outside sanity window [-8, 15]"),
+    "scheme_beats_layer": (_HEADER + _conv("a", "input", filter=5, fo=99), 0,
+                           "output_frac=99 outside sanity window [-8, 15]"),
+    "layer_beats_shape": ("network x\ninput 2 2 2\ninput_frac 4\n" + _conv("a", "input", filter=5),
+                          0, "filter must be 1 or 3, got 5"),
+    "conv_input_too_small": ("network x\ninput 2 2 2\ninput_frac 4\n" + _conv("a", "input", pad=0),
+                             0, "a: 2x2 input too small for filter 3, stride 1, padding 0"),
+    "pool_input_too_small": (_HEADER + _conv("a", "input", pool="3x3s2", stride=2), 0,
+                             "a: 2x2 input smaller than pool window 3"),
+    "topological_order_sets_first_fault": (
+        _HEADER + _conv("b", "a", filter=5) + "node a concat inputs=input\n", 0,
+        "a: concat needs at least two inputs"),
+    "concat_arity": (_HEADER + _conv("a", "input") + "node cat concat inputs=a\n", 0,
+                     "cat: concat needs at least two inputs"),
+    "concat_real": (_HEADER + _FC + _conv("a", "input") + "node cat concat inputs=a,fc\n", 0,
+                    "cat: concat of real-valued inputs"),
+    "concat_spatial": (_HEADER + _conv("a", "input") + _conv("b", "input", stride=2)
+                       + "node cat concat inputs=a,b\n", 0, "cat: concat inputs differ spatially"),
+    "concat_frac": (_HEADER + _conv("a", "input") + _conv("b", "input", fo=5)
+                    + "node cat concat inputs=a,b\n", 0, "cat: concat inputs differ in frac_bits"),
+    "gap_arity": (_HEADER + _conv("a", "input") + "node g global_avg_pool inputs=a,input\n", 0,
+                  "g: global_avg_pool takes one quantized input"),
+    "gap_real": (_HEADER + _FC + "node g global_avg_pool inputs=fc\n", 0,
+                 "g: global_avg_pool takes one quantized input"),
+    "fc_arity": (_HEADER + _conv("a", "input") + "node fc fully_connected units=4 inputs=a,input\n",
+                 0, "fc: fully_connected takes one input"),
+    "fc_units_zero": (_HEADER + "node fc fully_connected units=0 inputs=input\n", 0,
+                      "fc: fully_connected needs units >= 1"),
+    "softmax_arity": (_HEADER + _conv("a", "input") + "node s softmax inputs=a,input\n", 0,
+                      "s: softmax takes one input"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARSE_ERRORS))
+def test_parse_error_texts(tmp_path, case):
+    text, line_no, message = _PARSE_ERRORS[case]
+    path = tmp_path / "bad.net"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_network(str(path))
+    assert str(err.value) == f"{path}:{line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("relu=2", "relu must be 0 or 1, got '2'"),
+        ("relu=-7", "relu must be 0 or 1, got '-7'"),
+        ("relu=01", "relu must be 0 or 1, got '01'"),
+        ("relu=0 emit=no", "emit must be 0 or 1, got 'no'"),
+        ("relu=0 emit=2", "emit must be 0 or 1, got '2'"),
+        ("relu=0 emit=", "emit must be 0 or 1, got ''"),
+    ],
+)
+def test_relu_and_emit_take_only_0_or_1(tmp_path, line, message):
+    fields = "filter=3 stride=1 pad=1 co=4 pool=none fo=4 fp=4 fb=4"
+    path = tmp_path / "bad.net"
+    path.write_text(_HEADER + f"node a conv {fields} {line} params=a.qfb inputs=input\n")
+    with pytest.raises(ParseError) as err:
+        parse_network(str(path))
+    assert str(err.value) == f"{path}:4: {message}"
+
+
+def test_repeated_fields_parse_as_written(tmp_path):
+    """Lines that share their leading fields parse as if each were read alone."""
+    fields = "filter=1 stride=1 pad=0 co=4 relu=0 pool=none fo=4 fp=4 fb=4"
+    path = tmp_path / "net.net"
+    path.write_text(
+        _HEADER
+        + f"node a conv {fields} emit=1 params=a.qfb inputs=input\n"
+        + f"node b conv {fields} emit=1 params=b.qfb inputs=a,\n"
+        + f"node c conv {fields} params=c.qfb inputs=b\n"
+        + f"node d conv {fields} params=d.qfb inputs=c\n"
+        + "node cat concat inputs=c,d\n"
+    )
+    net = parse_network(str(path))
+    assert net.nodes == (
+        ConvNode("a", 1, 1, 0, 4, False, None, 4, 4, 4, "a.qfb", ("input",), True),
+        ConvNode("b", 1, 1, 0, 4, False, None, 4, 4, 4, "b.qfb", ("a",), True),
+        ConvNode("c", 1, 1, 0, 4, False, None, 4, 4, 4, "c.qfb", ("b",)),
+        ConvNode("d", 1, 1, 0, 4, False, None, 4, 4, 4, "d.qfb", ("c",)),
+        HostNode("cat", "concat", ("c", "d")),
+    )
+    again = NetworkGraph(net.name, net.input_geom, net.input_frac, net.nodes)
+    assert again.shaped_nodes() == net.shaped_nodes()
+    assert again.conv_columns.values.tolist() == net.conv_columns.values.tolist()
+
+
+@pytest.mark.parametrize("name", ["peleenet", "squeezenet_v11", "vgg16", "zynqnet"])
+def test_estimate_builds_no_node_objects(monkeypatch, capsys, data_dir, name):
+    from convaccel import graph
+    from convaccel.cli import EXIT_OK, main
+
+    built = []
+    for cls in (graph.ConvNode, graph.HostNode, graph.ShapedNode):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    net_path = os.path.join(data_dir, "networks", f"{name}.net")
+    cfg_path = os.path.join(data_dir, "configs", "conf6.cfg")
+    assert main(["estimate", "--net", net_path, "--config", cfg_path]) == EXIT_OK
+    assert built == []
+    parse_network(net_path).shaped_nodes()  # the counters do see objects built on demand
+    assert "ShapedNode" in built
+
+
+# Python function calls (sys.setprofile "call" events) in one parse of
+# peleenet.net: 2375 with a node object per line, 696 when this guard was
+# set.  A per-node object or call that creeps back in shows here first.
+PELEENET_PARSE_CALLS = 696
+
+
+def test_parse_call_count_stays_low(data_dir):
+    import sys
+
+    path = os.path.join(data_dir, "networks", "peleenet.net")
+    parse_network(path)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        parse_network(path)
+    finally:
+        sys.setprofile(None)
+    assert calls <= PELEENET_PARSE_CALLS
+
+
 # ---------------------------------------------------------------------------
 # Legality
 # ---------------------------------------------------------------------------
