@@ -1,9 +1,9 @@
 """Command-line interface: quantize, validate, run, estimate, sweep.
 
-Exit codes: 0 success, 2 parse/format error, 3 validation error,
-4 load error (missing, unreadable or mismatched artifact, an output that
-cannot be written, or quantize data whose exponent leaves the scheme
-window), 5 internal error.
+Exit codes: 0 success, 2 parse/format error, 3 validation error (also a
+run whose accumulator leaves the 32-bit range), 4 load error (missing,
+unreadable or mismatched artifact, an output that cannot be written, or
+quantize data whose exponent leaves the scheme window), 5 internal error.
 A reader that closes stdout early (``convaccel estimate ... | head``)
 ends the command quietly with exit 0.
 All reports are deterministic: fixed float precision, no timestamps.
@@ -20,6 +20,7 @@ from . import dse as dse_mod
 from .config import DEFAULT_CALIBRATION, load_calibration, load_config
 from .errors import (
     AccelError,
+    AccumulatorOverflow,
     ConfigTooSmallError,
     FormatError,
     LoadError,
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
     except (ParseError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValidationError, ConfigTooSmallError, SweepCapError) as exc:
+    except (ValidationError, ConfigTooSmallError, SweepCapError, AccumulatorOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (LoadError, FileNotFoundError) as exc:

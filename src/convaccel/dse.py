@@ -67,7 +67,6 @@ class DesignPoint:
     """One parameter assignment with its metrics and feasibility flags."""
 
     fields: dict
-    cfg: AccelConfig | None
     metrics: dict | None
     feasible: bool
     dominated: bool = False
@@ -146,12 +145,10 @@ def enumerate_points(
         try:
             cfg = AccelConfig.from_params(fields, f"point{idx}")
         except ValueError as exc:
-            points.append(DesignPoint(fields, None, None, False, note=str(exc)))
+            points.append(DesignPoint(fields, None, False, note=str(exc)))
             continue
         metrics, problems = _evaluate(cfg, spec, calib)
-        points.append(
-            DesignPoint(fields, cfg, metrics, not problems, note="; ".join(problems))
-        )
+        points.append(DesignPoint(fields, metrics, not problems, note="; ".join(problems)))
 
     front = {id(p) for p in _non_dominated([p for p in points if p.feasible], spec.objectives)}
     return [replace(p, dominated=True) if p.feasible and id(p) not in front else p for p in points]

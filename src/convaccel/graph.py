@@ -31,6 +31,7 @@ HostNode, ShapedNode and LayerSpec objects are built only when read.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -53,6 +54,7 @@ from .engine import (
     split_groups,
 )
 from .errors import (
+    AccumulatorOverflow,
     ConfigTooSmallError,
     LoadError,
     ParseError,
@@ -287,12 +289,6 @@ class NetworkGraph:
     def shaped_nodes(self):
         return self._shaped
 
-    def shaped(self, node_id) -> ShapedNode:
-        for sn in self._shaped:
-            if sn.node_id == node_id:
-                return sn
-        raise KeyError(node_id)
-
     def terminal_ids(self):
         consumed = {ref for r in self._records for ref in r[2]}
         return tuple(r[0] for r in self._records if r[0] not in consumed)
@@ -492,11 +488,11 @@ class LegalityReport:
     """Per-layer verdicts of validate.
 
     ``ok`` comes from validate's masks; ``rows`` and their problem
-    strings are built when first read.
+    strings are built when first read, from the cost columns alone.
     """
 
-    def __init__(self, net, cfg, over, ok):
-        self._net = net
+    def __init__(self, cols, cfg, over, ok):
+        self._cols = cols  # the network's perf.ConvColumns
         self._cfg = cfg
         self._over = over  # rows perf.TAPS..perf.POOL_CO over their budgets, per layer
         self.ok = ok
@@ -504,14 +500,13 @@ class LegalityReport:
     @cached_property
     def rows(self) -> tuple[LayerVerdict, ...]:
         cfg = self._cfg
-        v = self._net.conv_columns.values.tolist()
+        v = self._cols.values.tolist()
         over = self._over.T.tolist()
-        convs = [sn for sn in self._net.shaped_nodes() if sn.spec is not None]
         rows = []
-        for i, sn in enumerate(convs):
+        for i, node_id in enumerate(self._cols.node_ids):
             co, per_out = v[perf.CO][i], v[perf.PER_OUT][i]
             checks = (
-                f"filter {sn.spec.filter} exceeds FILTER_MAX={cfg.filter_max}",
+                f"filter {math.isqrt(v[perf.TAPS][i])} exceeds FILTER_MAX={cfg.filter_max}",
                 f"input row of {v[perf.ROW_BYTES][i]} bytes exceeds "
                 f"WINxCHIN_PAD_MAX={cfg.win_x_chin_pad_max}",
                 f"window of {per_out} bytes exceeds "
@@ -528,11 +523,11 @@ class LegalityReport:
                 except ConfigTooSmallError as exc:
                     problems.append(str(exc))
             if problems:
-                rows.append(LayerVerdict(sn.node_id, "unsupported", 0, "; ".join(problems)))
+                rows.append(LayerVerdict(node_id, "unsupported", 0, "; ".join(problems)))
             elif groups == 1:
-                rows.append(LayerVerdict(sn.node_id, "fits", 1, ""))
+                rows.append(LayerVerdict(node_id, "fits", 1, ""))
             else:
-                rows.append(LayerVerdict(sn.node_id, "split", groups, f"{groups} groups"))
+                rows.append(LayerVerdict(node_id, "split", groups, f"{groups} groups"))
         return tuple(rows)
 
     def __str__(self):
@@ -559,7 +554,7 @@ def validate(net: NetworkGraph, cfg: AccelConfig) -> LegalityReport:
     # when F*F*Ci exceeds the budget, because CHOUT_MAX >= 1.
     tight = v[perf.PER_OUT] > cfg.chout_x_filter_x_filter_x_chin_max
     ok = not (np.count_nonzero(over) or np.count_nonzero(tight))
-    return LegalityReport(net, cfg, over, ok)
+    return LegalityReport(net.conv_columns, cfg, over, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +789,10 @@ def run_network(
         sources = [results[r] for r in node.inputs]
         if node.kind == "conv":
             bank = _load_conv_bank(node, net.base_dir, sn.in_geom[2])
-            out = exec_with_split(sources[0], bank, sn.spec, cfg)
+            try:
+                out = exec_with_split(sources[0], bank, sn.spec, cfg)
+            except AccumulatorOverflow as exc:
+                raise AccumulatorOverflow(f"{node.id}: {exc}") from None
         elif node.kind == "concat":
             merged = np.concatenate([s.as_3d() for s in sources], axis=2)
             h, x, c = merged.shape

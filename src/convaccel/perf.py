@@ -92,11 +92,7 @@ class LayerCycles:
     writeback_cycles: int
     pool_cycles: int
     restreams: int
-
-    @property
-    def total_cycles(self) -> int:
-        overlapped = max(self.compute_cycles, self.transfer_in_cycles, self.pool_cycles)
-        return overlapped + self.param_cycles + self.writeback_cycles
+    total_cycles: int  # max(compute, transfer_in, pool) + param + writeback
 
 
 @dataclass(frozen=True)
@@ -106,45 +102,34 @@ class LayerPerf:
     latency_ms: float
 
 
-@dataclass(frozen=True)
-class HostPerf:
-    node_id: str
-    kind: str
-    units: int
-    latency_ms: float
-
-
 class PerfReport:
     """Per-layer and end-to-end latency predictions for one network/config pair.
 
-    ``layers`` and ``host_ops`` are built from the cost columns when first
-    read; ``table()`` and ``host_table()`` yield the same numbers as plain
-    tuples.
+    ``table()`` and ``host_table()`` yield the rows as plain tuples, straight
+    from layer_cycles' arrays; ``layers`` is built from the same rows when
+    first read.
     """
 
     def __init__(self, network, node_ids, cycles, layer_ms, host, host_ms):
         self.network = network
         self._node_ids = node_ids
-        self._cycles = cycles  # arrays: LayerCycles' fields in order, then the total
+        self._cycles = cycles  # layer_cycles' arrays: LayerCycles' fields in order
         self._layer_ms = layer_ms
         self._host = host  # (node_id, kind, units) per host node
         self._host_ms = host_ms
 
     def table(self):
-        """Per layer: (node_id, the LayerCycles fields in order, total cycles, latency_ms)."""
+        """Per layer: (node_id, the LayerCycles fields in order, latency_ms)."""
         return zip(self._node_ids, *(c.tolist() for c in self._cycles), self._layer_ms)
 
     def host_table(self):
-        """Per host node: (node_id, kind, units, latency_ms), HostPerf's fields in order."""
+        """Per host node: (node_id, kind, units, latency_ms)."""
         return ((*h, ms) for h, ms in zip(self._host, self._host_ms))
 
     @cached_property
     def layers(self) -> tuple[LayerPerf, ...]:
-        return tuple(LayerPerf(row[0], LayerCycles(*row[1:7]), row[8]) for row in self.table())
-
-    @cached_property
-    def host_ops(self) -> tuple[HostPerf, ...]:
-        return tuple(HostPerf(*row) for row in self.host_table())
+        rows = self.table()
+        return tuple(LayerPerf(node_id, LayerCycles(*c), ms) for node_id, *c, ms in rows)
 
     @property
     def conv_ms(self) -> float:
@@ -282,7 +267,7 @@ def conv_cycles(
     split_groups(spec.co, spec.filter * spec.filter * ci, cfg)
     row = conv_terms(in_geom, spec.filter, spec.stride, spec.padding, spec.co, spec.pool)[1]
     cols = ConvColumns(("",), row)
-    return LayerCycles(*(int(c[0]) for c in layer_cycles(cols, cfg, calib)[:6]))
+    return LayerCycles(*(int(c[0]) for c in layer_cycles(cols, cfg, calib)))
 
 
 def host_units(kind: str, in_elems: int, out_elems: int) -> int:

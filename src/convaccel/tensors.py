@@ -340,17 +340,8 @@ def save_bank(bank: QFilterBank | FFilterBank, path) -> None:
     _write(bank, path, _BANK)
 
 
-def load_tensor_any(path) -> QTensor3 | FTensor3:
-    """Load a tensor file of either element kind."""
-    return _read(path, (_TENSOR,))
-
-
 def load_tensor(path) -> QTensor3:
     return _read(path, (_TENSOR,), quantized=True)
-
-
-def load_bank_any(path) -> QFilterBank | FFilterBank:
-    return _read(path, (_BANK,))
 
 
 def load_bank(path) -> QFilterBank:

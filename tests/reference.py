@@ -162,7 +162,8 @@ def conv_cycles_ref(spec: LayerSpec, in_geom, cfg, calib) -> LayerCycles:
         hp, wp = (ho - w) // 2 + 1, (wo - w) // 2 + 1
         pool = hp * wp * w * w * ceil_div(co, cfg.apack) + calib.k_pool
     writeback = ceil_div(hp * wp * co, cfg.apack)
-    return LayerCycles(compute, transfer_in, param, writeback, pool, plan.restreams)
+    total = max(compute, transfer_in, pool) + param + writeback
+    return LayerCycles(compute, transfer_in, param, writeback, pool, plan.restreams, total)
 
 
 def validate_ref(net, cfg):

@@ -352,7 +352,7 @@ def test_criterion_7_dse_correctness():
             "power": round(rng.uniform(1.0, 6.0), 3),
             "bram": rng.randint(1 << 10, 1 << 20),
         }
-        pts.append(DesignPoint({"FREQ": float(i)}, None, metrics, True))
+        pts.append(DesignPoint({"FREQ": float(i)}, metrics, True))
     front = pareto_front(pts, objectives)
     want = pareto_ref([tuple(p.metrics[o] for o in objectives) for p in pts])
     got = {pts.index(p) for p in front}

@@ -18,13 +18,15 @@ from convaccel import (
     FTensor3,
     LayerSpec,
     PoolSpec,
+    QTensor3,
     choose_frac_bits,
     load_tensor,
     run_network,
     save_bank,
     save_tensor,
 )
-from convaccel.cli import EXIT_LOAD, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from convaccel import cli, errors
+from convaccel.cli import EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from convaccel.config import save_config
 from convaccel.quant import FRAC_MAX, FRAC_MIN, quantize
 from convaccel.graph import ConvNode, HostNode, NetworkGraph, save_network
@@ -229,6 +231,61 @@ def test_run_missing_params_exit_code(tmp_path, capsys):
     )
     assert rc == EXIT_LOAD
     assert "c.qfb" in capsys.readouterr().err
+
+
+def test_run_accumulator_overflow_is_validation_error(tmp_path, capsys):
+    # Every exponent is inside [FRAC_MIN, FRAC_MAX], but fo = 15 far above
+    # fi + fp = -16 shifts the sum 31 bits left, out of the 32-bit range.
+    spec = LayerSpec(1, 1, 0, 1, False, None, DfpScheme(-8, -8, 0, 15))
+    ia = QTensor3(1, 1, 1, [127], -8)
+    bank = QFilterBank(1, 1, 1, 1, [127], [0], -8, 0)
+    net_path = _write_single_conv_net(tmp_path, ia, bank, spec)
+    save_config(wide_open_config(), tmp_path / "cfg.cfg")
+    save_tensor(ia, tmp_path / "in.qt3")
+    argv = ["run", "--net", net_path, "--config", str(tmp_path / "cfg.cfg"),
+            "--input", str(tmp_path / "in.qt3"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: c: rescaled accumulator outside 32-bit range\n"
+
+
+# The exit code of each concrete AccelError subclass raised inside a command.
+# A new subclass fails test_exit_code_per_error_class until it has a row.
+EXIT_BY_ERROR = {
+    errors.FormatError: EXIT_PARSE,
+    errors.CorruptionError: EXIT_PARSE,
+    errors.ParseError: EXIT_PARSE,
+    errors.ShapeError: EXIT_INTERNAL,
+    errors.AccumulatorOverflow: EXIT_VALIDATION,
+    errors.ConfigTooSmallError: EXIT_VALIDATION,
+    errors.ValidationError: EXIT_VALIDATION,
+    errors.LoadError: EXIT_LOAD,
+    errors.SweepCapError: EXIT_VALIDATION,
+}
+
+
+def _error_classes():
+    found, todo = [], [errors.AccelError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__ == errors.__name__:
+                found.append(sub)
+                todo.append(sub)
+    return found
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_exit_code_per_error_class(monkeypatch, capsys, cls):
+    assert cls in EXIT_BY_ERROR, f"no exit code in EXIT_BY_ERROR for {cls.__name__}"
+    exc = cls("x.net", 1, "boom") if cls is errors.ParseError else cls("boom")
+
+    def failing_parse(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "parse_network", failing_parse)
+    want = EXIT_BY_ERROR[cls]
+    assert main(["estimate", "--net", "x.net", "--config", "x.cfg"]) == want
+    prefix = "internal error" if want == EXIT_INTERNAL else "error"
+    assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
 def test_validate_command(tmp_path, capsys):

@@ -50,7 +50,7 @@ def _synthetic_points(rng: random.Random, n: int):
             "power": round(rng.uniform(1, 6), 3),
             "bram": rng.randint(1000, 100000),
         }
-        points.append(DesignPoint({"FREQ": 100 + i}, None, metrics, True))
+        points.append(DesignPoint({"FREQ": 100 + i}, metrics, True))
     return points
 
 
@@ -156,7 +156,7 @@ def test_pareto_front_with_ties_matches_bruteforce():
             "dsp": rng.choice((10, 20)),
             "power": rng.choice((1.5, 2.5)),
         }
-        pts.append(DesignPoint({"FREQ": 100 + i}, None, metrics, True))
+        pts.append(DesignPoint({"FREQ": 100 + i}, metrics, True))
     rows = [tuple(p.metrics[o] for o in OBJS) for p in pts]
     front = pareto_front(pts, OBJS)
     assert {pts.index(p) for p in front} == pareto_ref(rows)
@@ -189,8 +189,8 @@ def test_pareto_trivials():
     one = _synthetic_points(rng, 1)
     assert pareto_front(one, OBJS) == one
 
-    a = DesignPoint({"FREQ": 1}, None, {"latency": 1.0, "dsp": 10, "power": 1.0}, True)
-    b = DesignPoint({"FREQ": 2}, None, {"latency": 2.0, "dsp": 20, "power": 2.0}, True)
+    a = DesignPoint({"FREQ": 1}, {"latency": 1.0, "dsp": 10, "power": 1.0}, True)
+    b = DesignPoint({"FREQ": 2}, {"latency": 2.0, "dsp": 20, "power": 2.0}, True)
     assert pareto_front([a, b], OBJS) == [a]
 
 

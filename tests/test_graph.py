@@ -61,7 +61,7 @@ def test_shapes_and_frac_chain():
         "fc": (1, 1, 10),
         "sm": (1, 1, 10),
     }
-    c2 = net.shaped("c2")
+    c2 = next(sn for sn in net.shaped_nodes() if sn.node_id == "c2")
     assert c2.spec.scheme == DfpScheme(5, 4, 4, 3)
     assert net.terminal_ids() == ("sm",)
     assert net.mac_count() == 8 * 8 * 8 * 9 * 3 + 4 * 4 * 6 * 1 * 8
@@ -164,7 +164,7 @@ def test_parse_roundtrip(tmp_path):
     assert c1.pool == PoolSpec(3) and c1.relu and c1.emit
     out = tmp_path / "again.net"
     save_network(net, str(out))
-    assert parse_network(str(out)).shaped("gap").out_geom == net.shaped("gap").out_geom
+    assert parse_network(str(out)).shaped_nodes()[-1].out_geom == net.shaped_nodes()[-1].out_geom
 
 
 def test_parse_errors_name_the_line(tmp_path):
@@ -395,10 +395,9 @@ def test_repeated_fields_parse_as_written(tmp_path):
     assert again.conv_columns.values.tolist() == net.conv_columns.values.tolist()
 
 
-@pytest.mark.parametrize("name", ["peleenet", "squeezenet_v11", "vgg16", "zynqnet"])
-def test_estimate_builds_no_node_objects(monkeypatch, capsys, data_dir, name):
+def _count_node_objects(monkeypatch):
+    """A list that gets the class name of every ConvNode, HostNode and ShapedNode built."""
     from convaccel import graph
-    from convaccel.cli import EXIT_OK, main
 
     built = []
     for cls in (graph.ConvNode, graph.HostNode, graph.ShapedNode):
@@ -406,12 +405,65 @@ def test_estimate_builds_no_node_objects(monkeypatch, capsys, data_dir, name):
             built.append(type(self).__name__)
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("name", ["peleenet", "squeezenet_v11", "vgg16", "zynqnet"])
+def test_estimate_builds_no_node_objects(monkeypatch, capsys, data_dir, name):
+    from convaccel.cli import EXIT_OK, main
+
+    built = _count_node_objects(monkeypatch)
     net_path = os.path.join(data_dir, "networks", f"{name}.net")
     cfg_path = os.path.join(data_dir, "configs", "conf6.cfg")
     assert main(["estimate", "--net", net_path, "--config", cfg_path]) == EXIT_OK
     assert built == []
     parse_network(net_path).shaped_nodes()  # the counters do see objects built on demand
     assert "ShapedNode" in built
+
+
+# sha256 of the stdout of a command under conf6 with one budget cut so that
+# some layers are unsupported, recorded while legality rows were still built
+# from node objects.
+FAILING_OUTPUT_SHA256 = {
+    ("FILTER_MAX=1", "peleenet", "estimate"): "ca12dad0fae5622ed72219d7ea1f670b810ade9dc850a8bf63fd94a1d1ca1864",
+    ("FILTER_MAX=1", "peleenet", "validate"): "3ea18564d79726f11e7cf429ac0321c6c6caf8eddc48f3d36ecae193649c0e50",
+    ("FILTER_MAX=1", "squeezenet_v11", "estimate"): "0fc622039ddebc6187676a9519c2c50d2cab5e76870487310f1eb7ff9c527ac1",
+    ("FILTER_MAX=1", "squeezenet_v11", "validate"): "40fece19d3cc3dce1e4ea0904eb92d2770eddf70075fe2a3dd286cfa17235268",
+    ("FILTER_MAX=1", "vgg16", "estimate"): "72f18be33e4b71fd5186aafa83faf9aaecf144eb309ad3c936a70276a541a147",
+    ("FILTER_MAX=1", "vgg16", "validate"): "7e2c04190ab79108e6ce7a9649fae5dda143928e1290e42d54629a74a6d157c4",
+    ("FILTER_MAX=1", "zynqnet", "estimate"): "0fc622039ddebc6187676a9519c2c50d2cab5e76870487310f1eb7ff9c527ac1",
+    ("FILTER_MAX=1", "zynqnet", "validate"): "cf9b5158b57b783a3cb76010c6f2f9c84f4cb25a2586e3bf22986e0d5a61dbf7",
+    ("CHOUTxFILTERxFILTERxCHIN_MAX=100", "peleenet", "estimate"): "ea76361ce07eb82a26f0c289f8c26f537804fe4e44fdc4b0893919ec70ff917d",
+    ("CHOUTxFILTERxFILTERxCHIN_MAX=100", "peleenet", "validate"): "2275dcf2be91ced57c3c68e49ab98e3061307933518d756c9506c906118b98a8",
+    ("CHOUTxFILTERxFILTERxCHIN_MAX=100", "squeezenet_v11", "estimate"): "4c5b9d60bc630feaeebf1817230c35588319033db6e7f1f827dbb4f94a74791c",
+    ("CHOUTxFILTERxFILTERxCHIN_MAX=100", "squeezenet_v11", "validate"): "42efd698bf380dc928281c50996f8528c2ec83fb7011eac82dc0740a8c2a6735",
+    ("CHOUTxFILTERxFILTERxCHIN_MAX=100", "vgg16", "estimate"): "a91002067b870bb9a40bbd64317d2f8dc767354c3d1ac54e3c9f5486fd892ec4",
+    ("CHOUTxFILTERxFILTERxCHIN_MAX=100", "vgg16", "validate"): "6334b7a09df5f02a80ade3eb7925a4c6401457b4e72a154469b0e7bb69cc5e13",
+    ("CHOUTxFILTERxFILTERxCHIN_MAX=100", "zynqnet", "estimate"): "faf09bc763077a0d43515c6b5279ba1f1b1386703d7a01c4247b00bb4dbd771f",
+    ("CHOUTxFILTERxFILTERxCHIN_MAX=100", "zynqnet", "validate"): "72fb1378bea597a941f60f9257a42c87cce2c6407c7fbc643c411dd5c71a3589",
+}
+
+
+@pytest.mark.parametrize("cut, name, command", list(FAILING_OUTPUT_SHA256))
+def test_failing_config_builds_no_node_objects(
+    monkeypatch, capsys, tmp_path, data_dir, cut, name, command
+):
+    """Unsupported layers are reported from the cost columns alone, with unchanged text."""
+    import hashlib
+
+    from convaccel.cli import EXIT_VALIDATION, main
+
+    key = cut.split("=")[0]
+    with open(os.path.join(data_dir, "configs", "conf6.cfg"), encoding="utf-8") as fh:
+        lines = [cut if line.startswith(key + "=") else line for line in fh.read().splitlines()]
+    cfg_path = tmp_path / "cut.cfg"
+    cfg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    net_path = os.path.join(data_dir, "networks", f"{name}.net")
+    built = _count_node_objects(monkeypatch)
+    assert main([command, "--net", net_path, "--config", str(cfg_path)]) == EXIT_VALIDATION
+    assert built == []
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_OUTPUT_SHA256[(cut, name, command)]
 
 
 # Python function calls (sys.setprofile "call" events) in one parse of
@@ -421,6 +473,7 @@ PELEENET_PARSE_CALLS = 696
 
 
 def test_parse_call_count_stays_low(data_dir):
+    import gc
     import sys
 
     path = os.path.join(data_dir, "networks", "peleenet.net")
@@ -431,11 +484,16 @@ def test_parse_call_count_stays_low(data_dir):
         nonlocal calls
         calls += event == "call"
 
+    # A collection during the parse would also count other code's calls: the
+    # gc callbacks hypothesis registers, and finalizers of objects left over
+    # from earlier tests.
+    gc.disable()
     sys.setprofile(count)
     try:
         parse_network(path)
     finally:
         sys.setprofile(None)
+        gc.enable()
     assert calls <= PELEENET_PARSE_CALLS
 
 

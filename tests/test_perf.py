@@ -235,7 +235,7 @@ def test_network_columns_match_scalar_oracles(case):
     for cyc in want:
         conv_ms += cyc.total_cycles / (cfg.freq_mhz * 1000.0)
     assert perf.conv_ms == conv_ms
-    assert [h.node_id for h in perf.host_ops] == [
+    assert [row[0] for row in perf.host_table()] == [
         sn.node_id for sn in net.shaped_nodes() if sn.spec is None
     ]
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_bank, random_tensor, seeded
 from convaccel import FTensor3, QFilterBank, QTensor3, load_bank, load_tensor, save_bank, save_tensor
 from convaccel.errors import CorruptionError, FormatError, ShapeError
-from convaccel.tensors import FFilterBank, load_any, load_bank_any, load_tensor_any
+from convaccel.tensors import FFilterBank, load_any
 
 
 def test_at_single_element():
@@ -151,7 +151,7 @@ def test_float_tensor_roundtrip(tmp_path):
     t = FTensor3(3, 4, 5, vals)
     path = tmp_path / "t.qt3"
     save_tensor(t, path)
-    back = load_tensor_any(path)
+    back = load_any(path)
     assert isinstance(back, FTensor3)
     assert back == t
     with pytest.raises(FormatError):
@@ -225,7 +225,7 @@ def test_bank_truncation(tmp_path):
     save_bank(bank, path)
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(CorruptionError):
-        load_bank_any(path)
+        load_any(path)
 
 
 def test_payload_size_checked_before_read(tmp_path):
@@ -234,11 +234,11 @@ def test_payload_size_checked_before_read(tmp_path):
     path = tmp_path / "t.qt3"
     path.write_bytes(struct.pack("<4sBBb3I", b"QT3\0", 1, 0, 0, huge, huge, huge))
     with pytest.raises(CorruptionError, match="truncated payload"):
-        load_tensor_any(path)
+        load_any(path)
     path = tmp_path / "w.qfb"
     path.write_bytes(struct.pack("<4sBBbb4I", b"QFB\0", 1, 1, 0, 0, huge, 1, 1, huge))
     with pytest.raises(CorruptionError, match="truncated payload"):
-        load_bank_any(path)
+        load_any(path)
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(-8, 15), st.data())
