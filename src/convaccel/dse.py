@@ -3,7 +3,7 @@
 Sweep description file, line oriented ('#' starts a comment):
 
     base <config file>                  # defaults for parameters not swept
-    workload <network file>             # repeatable
+    workload <network file>             # repeatable, one per network name
     axis <PARAM> <v1> <v2> ...          # cartesian axis over a parameter
     point <PARAM>=<v> ...               # explicit extra design point
     constraint <max_dsp|max_bram_bytes|max_power_w|max_latency_ms> <value>
@@ -11,8 +11,9 @@ Sweep description file, line oriented ('#' starts a comment):
     cap <n>                             # enumeration cap (default 100000)
 
 PE_DSP accepts the literal value ``ocp`` to track the OCP of each point.
-Each parameter takes at most one axis line and each objective appears at
-most once; a repeat is a parse error, as is anything after cap's value.
+Each parameter takes at most one axis line, each objective appears at
+most once and each network name names one workload; a repeat is a parse
+error, as is anything after cap's value.
 Every axis combination becomes one design point; combinations that fail
 configuration validation or whose workloads are not legal are emitted as
 infeasible rows.  The latency objective is the summed end-to-end latency
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import CONFIG_KEYS, DEFAULT_CALIBRATION, AccelConfig, Calibration
 from .config import load_config, text_lines
@@ -73,21 +74,21 @@ class DesignPoint:
     note: str = ""
 
 
-def _evaluate(cfg: AccelConfig, spec: SweepSpec, calib: Calibration):
-    """Metrics dict plus a feasibility problem list for one valid config."""
+def _evaluate(cfg: AccelConfig, spec: SweepSpec, calib: Calibration, workloads):
+    """Metrics dict plus problem list for one valid config; ``workloads``: (net, metric key)."""
     resources = estimate_resources(cfg, calib)
     metrics = {"dsp": resources.dsp, "bram": resources.bram_bytes, "power": resources.power_w}
     problems = []
     max_ms = spec.constraints.get("max_latency_ms")
     total = 0.0
-    for net in spec.workloads:
+    for net, key in workloads:
         legality = validate(net, cfg)
         if not legality.ok:
             bad = [r.node_id for r in legality.rows if r.verdict == "unsupported"]
             problems.append(f"{net.name}: unsupported layers {', '.join(bad)}")
             continue
         ms = network_perf(net, cfg, calib).end_to_end_ms
-        metrics[f"latency:{net.name}"] = ms
+        metrics[key] = ms
         total += ms
         if max_ms is not None and ms > max_ms:
             problems.append(f"{net.name}: latency {ms:.3f} ms over max_latency_ms")
@@ -101,8 +102,8 @@ def _evaluate(cfg: AccelConfig, spec: SweepSpec, calib: Calibration):
     return metrics, problems
 
 
-def _non_dominated(points, objectives) -> list[DesignPoint]:
-    """Points that no other point dominates, in stable objective-tuple order.
+def _non_dominated(metrics, objectives) -> list[int]:
+    """Indices of the metrics dicts that no other dominates, in stable objective-tuple order.
 
     A point dominates another when it is no worse in every objective and
     better in one.  After a stable sort by the objective tuple every
@@ -110,14 +111,12 @@ def _non_dominated(points, objectives) -> list[DesignPoint]:
     dominator earlier still, so each point is checked only against the
     points kept before it.  Equal tuples never dominate each other.
     """
-    keyed = sorted(
-        ((tuple(p.metrics[obj] for obj in objectives), p) for p in points), key=lambda kp: kp[0]
-    )
+    keyed = sorted((tuple(m[obj] for obj in objectives), i) for i, m in enumerate(metrics))
     kept = []
-    for key, p in keyed:
+    for key, i in keyed:
         if not any(k != key and all(a <= b for a, b in zip(k, key)) for k, _ in kept):
-            kept.append((key, p))
-    return [p for _, p in kept]
+            kept.append((key, i))
+    return [i for _, i in kept]
 
 
 def enumerate_points(
@@ -126,7 +125,8 @@ def enumerate_points(
     """One evaluated DesignPoint per axis combination plus explicit points.
 
     The cap is checked before any point is built; each point is then
-    evaluated as the axis product yields it.
+    evaluated as the axis product yields it, and built once the front
+    among the feasible points is known.
     """
     size = math.prod(len(values) for values in spec.axes.values()) if spec.axes else 0
     if size + len(spec.points) > spec.cap:
@@ -135,9 +135,10 @@ def enumerate_points(
         )
 
     base = spec.base.param_values()
+    workloads = [(net, f"latency:{net.name}") for net in spec.workloads]
     combos = itertools.product(*spec.axes.values()) if spec.axes else ()
     assigned = itertools.chain((dict(zip(spec.axes, c)) for c in combos), spec.points)
-    points = []
+    evaluated = []  # (fields, metrics, feasible, note) per point
     for idx, overrides in enumerate(assigned):
         fields = {**base, **overrides}
         if fields["PE_DSP"] == "ocp":
@@ -145,13 +146,18 @@ def enumerate_points(
         try:
             cfg = AccelConfig.from_params(fields, f"point{idx}")
         except ValueError as exc:
-            points.append(DesignPoint(fields, None, False, note=str(exc)))
+            evaluated.append((fields, None, False, str(exc)))
             continue
-        metrics, problems = _evaluate(cfg, spec, calib)
-        points.append(DesignPoint(fields, metrics, not problems, note="; ".join(problems)))
+        metrics, problems = _evaluate(cfg, spec, calib, workloads)
+        evaluated.append((fields, metrics, not problems, "; ".join(problems)))
 
-    front = {id(p) for p in _non_dominated([p for p in points if p.feasible], spec.objectives)}
-    return [replace(p, dominated=True) if p.feasible and id(p) not in front else p for p in points]
+    feasible = [i for i, e in enumerate(evaluated) if e[2]]
+    kept = _non_dominated([evaluated[i][1] for i in feasible], spec.objectives)
+    front = {feasible[j] for j in kept}
+    return [
+        DesignPoint(fields, metrics, ok, ok and i not in front, note)
+        for i, (fields, metrics, ok, note) in enumerate(evaluated)
+    ]
 
 
 def pareto_front(points, objectives) -> list[DesignPoint]:
@@ -163,9 +169,8 @@ def pareto_front(points, objectives) -> list[DesignPoint]:
     marked one does: the front is unchanged.  So a sweep filters only its front
     again, and points without marks get the full filter.
     """
-    front = _non_dominated(
-        [p for p in points if p.feasible and not p.dominated and p.metrics is not None], objectives
-    )
+    candidates = [p for p in points if p.feasible and not p.dominated and p.metrics is not None]
+    front = [candidates[i] for i in _non_dominated([p.metrics for p in candidates], objectives)]
 
     def sort_key(p):
         cfg_order = tuple(float(p.fields.get(k, 0)) for k in CONFIG_KEYS)
@@ -181,27 +186,15 @@ def csv_header(spec: SweepSpec) -> list[str]:
     return cols
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
-
-
 def write_csv(points, spec: SweepSpec, fh) -> None:
     """Fixed-column CSV: config fields, metrics, feasible/pareto flags."""
+    metric_keys = [f"latency:{net.name}" for net in spec.workloads] + ["dsp", "bram", "power"]
     fh.write(",".join(csv_header(spec)) + "\n")
     for p in points:
-        row = [_fmt(p.fields.get(key)) for key in CONFIG_KEYS]
         m = p.metrics or {}
-        for net in spec.workloads:
-            row.append(_fmt(m.get(f"latency:{net.name}")))
-        row.append(_fmt(m.get("dsp")))
-        row.append(_fmt(m.get("bram")))
-        row.append(_fmt(m.get("power")))
-        row.append("1" if p.feasible else "0")
-        row.append("1" if p.feasible and not p.dominated else "0")
+        cells = [p.fields.get(key) for key in CONFIG_KEYS] + [m.get(key) for key in metric_keys]
+        row = ["" if c is None else f"{c:.3f}" if isinstance(c, float) else str(c) for c in cells]
+        row += ["1" if p.feasible else "0", "1" if p.feasible and not p.dominated else "0"]
         fh.write(",".join(row) + "\n")
 
 
@@ -236,7 +229,10 @@ def load_sweep(path) -> SweepSpec:
         if head == "base":
             base = load_config(os.path.join(base_dir, " ".join(rest)))
         elif head == "workload":
-            workloads.append(parse_network(os.path.join(base_dir, " ".join(rest))))
+            net = parse_network(os.path.join(base_dir, " ".join(rest)))
+            if any(w.name == net.name for w in workloads):
+                raise ParseError(path, line_no, f"workload network {net.name!r} given twice")
+            workloads.append(net)
         elif head == "axis":
             if len(rest) < 2:
                 raise ParseError(path, line_no, "axis needs a parameter and values")

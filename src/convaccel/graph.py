@@ -32,6 +32,7 @@ HostNode, ShapedNode and LayerSpec objects are built only when read.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -487,21 +488,20 @@ class LayerVerdict:
 class LegalityReport:
     """Per-layer verdicts of validate.
 
-    ``ok`` comes from validate's masks; ``rows`` and their problem
-    strings are built when first read, from the cost columns alone.
+    ``ok`` comes from validate; ``rows`` and their problem strings are
+    built when first read, from the cost columns alone.
     """
 
-    def __init__(self, cols, cfg, over, ok):
+    def __init__(self, cols, cfg, ok):
         self._cols = cols  # the network's perf.ConvColumns
         self._cfg = cfg
-        self._over = over  # rows perf.TAPS..perf.POOL_CO over their budgets, per layer
         self.ok = ok
 
     @cached_property
     def rows(self) -> tuple[LayerVerdict, ...]:
         cfg = self._cfg
         v = self._cols.values.tolist()
-        over = self._over.T.tolist()
+        limits = _budgets(cfg)
         rows = []
         for i, node_id in enumerate(self._cols.node_ids):
             co, per_out = v[perf.CO][i], v[perf.PER_OUT][i]
@@ -515,7 +515,7 @@ class LegalityReport:
                 f"PWINxPCH_MAX={cfg.pwin_x_pch_max}",
                 f"pool pixel of {co} bytes exceeds PCH_MAX={cfg.pch_max}",
             )
-            problems = [text for text, bad in zip(checks, over[i]) if bad]
+            problems = [text for text, row, limit in zip(checks, v, limits) if row[i] > limit]
             groups = 0
             if not problems:
                 try:
@@ -538,23 +538,26 @@ class LegalityReport:
         return "\n".join(lines)
 
 
+def _budgets(cfg: AccelConfig):
+    """Limits of rows perf.TAPS..POOL_CO; F, FILTER_MAX are 1 or 3, so F*F vs FILTER_MAX**2."""
+    return (
+        cfg.filter_max**2, cfg.win_x_chin_pad_max, cfg.filter_x_filter_x_chin_max,
+        cfg.pwin_x_pch_max, cfg.pch_max,
+    )
+
+
 def validate(net: NetworkGraph, cfg: AccelConfig) -> LegalityReport:
-    """Per-layer verdict against the configuration's buffer budgets, all layers in one pass."""
-    v = net.conv_columns.select(cfg)
-    # F and FILTER_MAX are 1 or 3, so F > FILTER_MAX exactly when F*F > FILTER_MAX**2.
-    limits = [
-        [cfg.filter_max**2],
-        [cfg.win_x_chin_pad_max],
-        [cfg.filter_x_filter_x_chin_max],
-        [cfg.pwin_x_pch_max],
-        [cfg.pch_max],
-    ]
-    over = v[: perf.POOL_CO + 1] > np.array(limits, dtype=v.dtype)
-    # split_groups' group min(CHOUT_MAX, budget // F*F*Ci) is below 1 exactly
-    # when F*F*Ci exceeds the budget, because CHOUT_MAX >= 1.
-    tight = v[perf.PER_OUT] > cfg.chout_x_filter_x_filter_x_chin_max
-    ok = not (np.count_nonzero(over) or np.count_nonzero(tight))
-    return LegalityReport(net.conv_columns, cfg, over, ok)
+    """Per-layer verdict against the configuration's buffer budgets.
+
+    The split group min(CHOUT_MAX, budget // F*F*Ci) is at least 1 exactly
+    when F*F*Ci is within the weight budget, since CHOUT_MAX >= 1; and a row
+    is within a limit at every layer exactly when its maximum is.
+    """
+    m = net.conv_columns.maxima
+    ok = m[perf.PER_OUT] <= cfg.chout_x_filter_x_filter_x_chin_max and all(
+        map(operator.le, m, _budgets(cfg))
+    )
+    return LegalityReport(net.conv_columns, cfg, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ built.  The configuration-independent integers of a network's
 convolutions (Co, Ci, F*F, Ho*Wo, H*X*Ci, ...) are computed once, when
 the network is parsed, as the rows of a ConvColumns with one column per
 layer; layer_cycles evaluates the formula over all columns at once.
+validate compares only each row's maximum with its budget; per-layer
+masks are formed only when a report's rows are read.
 
 Exactness.  The columns are int64 and NumPy int64 arithmetic wraps
 silently, so ConvColumns.select first checks in Python ints that no
@@ -39,6 +41,9 @@ term and every partial product of a layer is at most
 
 with pooled the pooled cells Hp*Wp*window^2.  The check also covers
 every configuration integer, which enters the formula as an operand.
+The rows stacked below the terms (CI..WEIGHTS negated, a has-pool
+flag) follow the same rule; they, (n-1)*g - Co, (n-1)*ceil(g/OCP) and
+has_pool*k_pool are no larger in magnitude than the bound's terms.
 A layer's latency is total / (FREQ*1000): NumPy's int64 -> float64 and
 Python's int -> float conversion both round to nearest even, so the
 quotient is the same on either path.  Sums over layers are taken with
@@ -62,9 +67,9 @@ from .config import AccelConfig, Calibration, DEFAULT_CALIBRATION
 from .engine import LayerSpec, conv_out_dims, out_dims, pool_out_dims, split_groups
 
 # Rows of ConvColumns.values.  validate compares the first five against
-# the buffer budgets in one step; the two pool rows hold 0 for a layer
-# without a pool, which no budget (all >= 1) is below.  CI..WEIGHTS are
-# ceil-divided by ICP, APACK, APACK, APACK and PPACK in one step.
+# the buffer budgets; the two pool rows hold 0 for a layer without a pool,
+# which no budget (all >= 1) is below.  CI..WEIGHTS are ceil-divided by
+# ICP, APACK, APACK, APACK and PPACK in one step.
 (
     TAPS,  # F*F
     ROW_BYTES,  # (X + 2*P)*Ci, one padded input row
@@ -80,6 +85,10 @@ from .engine import LayerSpec, conv_out_dims, out_dims, pool_out_dims, split_gro
     POOL_CELLS,  # Hp*Wp*window^2
 ) = range(12)
 N_TERMS = 12
+# Rows stacked below the terms for layer_cycles: CI..WEIGHTS negated from
+# _NEG on, for the ceil-divisions -(-a // b), and a 0/1 has-pool flag.
+_NEG = N_TERMS
+_HAS_POOL = _NEG + WEIGHTS - CI + 1
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,8 @@ class ConvColumns:
 
     ``values[ROW, i]`` is term ROW (the constants above) of the i-th
     convolution in topological order, named ``node_ids[i]``: int64 when
-    every term fits, else Python ints (dtype object).
+    every term fits, else Python ints (dtype object).  ``maxima[ROW]`` is
+    the row's largest term, a Python int (0 without convolutions).
     """
 
     def __init__(self, node_ids, terms):
@@ -188,15 +198,18 @@ class ConvColumns:
             values = np.array(terms, dtype=np.int64)
         except OverflowError:
             values = np.array(terms, dtype=object)
-        values = values.reshape(len(self.node_ids), N_TERMS)
-        # A copy, so that each row is contiguous: ufuncs over strided rows
-        # cost about half as much again per call.
-        self.values = values.T.copy()
+        values = values.reshape(len(self.node_ids), N_TERMS).T
+        self.maxima = m = values.max(axis=1).tolist() if self.node_ids else [0] * N_TERMS
+        # A contiguous row per term: ufuncs over strided rows cost half as much again.
+        self._block = np.empty((_HAS_POOL + 1, len(self.node_ids)), dtype=values.dtype)
+        self.values = self._block[:N_TERMS]
+        self.values[:] = values
+        np.negative(values[CI : WEIGHTS + 1], out=self._block[_NEG:_HAS_POOL])
+        self._block[_HAS_POOL] = values[POOL_CELLS] > 0
         # The module docstring's bound with every term at its largest over
         # the layers, less the calibration terms: no layer's bound exceeds
         # it, since no term is negative.  _pipe, the factor of k_pipe, is at
         # least 1 so that the bound also covers k_pipe itself.
-        m = values.max(axis=0).tolist() if self.node_ids else [0] * N_TERMS
         self._bound = (
             m[PIXELS] * m[CO] * m[PER_OUT] + m[CO] * m[IN_ELEMS] + m[WEIGHTS] + m[CO]
             + m[POOL_CELLS] * m[CO] + m[OUT_ELEMS]
@@ -204,7 +217,7 @@ class ConvColumns:
         self._pipe = max(m[PIXELS] * m[CO], 1)
 
     def select(self, cfg: AccelConfig, calib: Calibration | None = None):
-        """``values``, as Python ints unless every value formed under cfg and calib fits int64."""
+        """The terms and stacked rows, as Python ints unless every value formed fits int64."""
         bound = self._bound
         if calib is not None:
             bound += self._pipe * calib.k_pipe + calib.k_layer + calib.k_pool
@@ -213,9 +226,9 @@ class ConvColumns:
             cfg.chout_x_filter_x_filter_x_chin_max, cfg.win_x_chin_pad_max,
             cfg.filter_x_filter_x_chin_max, cfg.pwin_x_pch_max, cfg.pch_max,
         )
-        if biggest < 2**63 and self.values.dtype != object:
-            return self.values
-        return self.values.astype(object)
+        if biggest < 2**63 and self._block.dtype != object:
+            return self._block
+        return self._block.astype(object)
 
 
 def layer_cycles(
@@ -228,24 +241,25 @@ def layer_cycles(
     layer in order that does not fit even split.
     """
     v = cols.select(cfg, calib)
-    per_out, co = v[PER_OUT], v[CO]
-    group = np.minimum(cfg.chout_max, cfg.chout_x_filter_x_filter_x_chin_max // per_out)
-    tight = (group < 1).tolist()
-    if True in tight:
-        i = tight.index(True)
-        split_groups(int(co[i]), int(per_out[i]), cfg)  # raises
-    divisors = [[cfg.icp], [cfg.apack], [cfg.apack], [cfg.apack], [cfg.ppack]]
-    ci_tiles, co_beats, in_beats, out_beats, w_beats = -(
-        -v[CI : WEIGHTS + 1] // np.array(divisors, dtype=v.dtype)
-    )
-    n = -(-co // group)
-    ocp = cfg.ocp
-    passes = (n - 1) * -(-group // ocp) - (-(co - (n - 1) * group) // ocp)
+    per_out = v[PER_OUT]
+    budget = cfg.chout_x_filter_x_filter_x_chin_max
+    # The group min(CHOUT_MAX, budget // F*F*Ci) is below 1 exactly when
+    # F*F*Ci exceeds the budget, because CHOUT_MAX >= 1.
+    if cols.maxima[PER_OUT] > budget:
+        i = (per_out > budget).tolist().index(True)
+        split_groups(int(v[CO][i]), int(per_out[i]), cfg)  # raises
+    group = np.minimum(cfg.chout_max, budget // per_out)
+    divisors = np.array((cfg.icp, cfg.apack, cfg.apack, cfg.apack, cfg.ppack), dtype=v.dtype)
+    ci_tiles, co_beats, in_beats, out_beats, w_beats = -(v[_NEG:_HAS_POOL] // divisors[:, None])
+    neg_co = v[_NEG + CO - CI]
+    n = -(neg_co // group)
+    # (n-1)*ceil(group/OCP) + ceil(last/OCP), last = co - (n-1)*group
+    n1, ocp = n - 1, cfg.ocp
+    passes = -(n1 * (-group // ocp) + (n1 * group + neg_co) // ocp)
     compute = v[PIXELS] * (passes * v[TAPS] * ci_tiles + n * calib.k_pipe) + calib.k_layer
     transfer_in = n * in_beats
     param = w_beats + co_beats
-    cells = v[POOL_CELLS]
-    pool = np.where(cells > 0, cells * co_beats + calib.k_pool, 0)
+    pool = v[POOL_CELLS] * co_beats + v[_HAS_POOL] * calib.k_pool
     total = np.maximum(np.maximum(compute, transfer_in), pool) + param + out_beats
     return compute, transfer_in, param, out_beats, pool, n, total
 

@@ -231,3 +231,26 @@ def test_reference_points_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "5 of 6 points on the Pareto front" in proc.stdout
+
+
+def test_calibration_script_rewrites_the_shipped_fit(tmp_path):
+    """fit_calibration.py, run on a copy of scripts/ and data/, writes default.cal
+    byte for byte and prints the conv error README quotes."""
+    import re
+    import shutil
+
+    for name in ("scripts", "data"):
+        shutil.copytree(os.path.join(REPO_ROOT, name), tmp_path / name)
+    os.symlink(os.path.join(REPO_ROOT, "src"), tmp_path / "src")
+    written = tmp_path / "data" / "calibration" / "default.cal"
+    written.unlink()
+    script = tmp_path / "scripts" / "fit_calibration.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(DATA_DIR, "calibration", "default.cal"), "rb") as fh:
+        assert written.read_bytes() == fh.read()
+    mre = re.search(r"overall conv mean relative error: ([0-9.]+)%", proc.stdout).group(1)
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        quoted = re.search(r"Achieved fit: ([0-9.]+)% mean relative error", fh.read()).group(1)
+    assert mre == "14.519"
+    assert round(float(mre), 1) == float(quoted)

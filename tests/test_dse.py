@@ -291,3 +291,80 @@ def test_sweep_input_that_would_be_dropped_is_parse_error(
     assert str(err.value) == f"{sweep}:{line_no}: {message}"
     assert main(["sweep", "--sweep", str(sweep)]) == EXIT_PARSE
     assert f"{sweep}:{line_no}: {message}" in capsys.readouterr().err
+
+
+def test_sweep_workloads_sharing_a_network_name_is_parse_error(tmp_path, capsys, data_dir):
+    # Metrics and CSV columns are keyed by network name, so a second workload
+    # of the same name would overwrite the first's latency column.
+    for name in ("squeezenet_v11", "zynqnet"):
+        with open(os.path.join(data_dir, "networks", f"{name}.net"), encoding="utf-8") as fh:
+            text = fh.read()
+        (tmp_path / f"{name}.net").write_text(text.replace(f"network {name}\n", "network twin\n"))
+    sweep = tmp_path / "twin.sw"
+    sweep.write_text(
+        f"base {os.path.join(data_dir, 'configs', 'conf6.cfg')}\n"
+        "workload squeezenet_v11.net\n"
+        "workload zynqnet.net\n"
+        "axis ICP 16 32\n"
+    )
+    message = f"{sweep}:3: workload network 'twin' given twice"
+    with pytest.raises(ParseError) as err:
+        load_sweep(str(sweep))
+    assert str(err.value) == message
+    assert main(["sweep", "--sweep", str(sweep)]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_calls_validate_and_network_perf_once_per_pair(monkeypatch, tmp_path, data_dir):
+    """One validate per (valid config, workload), one network_perf per legal pair.
+
+    ICP 12 is not a power of two, so half the grid is invalid; a weight
+    budget of 2000 bytes holds every squeezenet layer (at most 3*3*64 = 576)
+    but not vgg16's 3*3*512 = 4608, so one pair per budget is illegal.
+    """
+    from convaccel.config import AccelConfig, load_config
+    from convaccel.graph import parse_network
+    from reference import validate_ref
+
+    nets = [os.path.join(data_dir, "networks", f"{n}.net") for n in ("squeezenet_v11", "vgg16")]
+    axes = {"ICP": (12, 16), "CHOUTxFILTERxFILTERxCHIN_MAX": (2000, 147456)}
+    sweep = tmp_path / "grid.sw"
+    sweep.write_text(
+        f"base {os.path.join(data_dir, 'configs', 'conf1.cfg')}\n"
+        + "".join(f"workload {net}\n" for net in nets)
+        + "".join(f"axis {k} {' '.join(map(str, v))}\n" for k, v in axes.items())
+    )
+
+    base = load_config(os.path.join(data_dir, "configs", "conf1.cfg")).param_values()
+    configs = []
+    for icp in axes["ICP"]:
+        for budget in axes["CHOUTxFILTERxFILTERxCHIN_MAX"]:
+            try:
+                fields = dict(base, ICP=icp, CHOUTxFILTERxFILTERxCHIN_MAX=budget)
+                configs.append(AccelConfig.from_params(fields))
+            except ValueError:
+                pass
+    graphs = [parse_network(net) for net in nets]
+    legal = sum(validate_ref(g, cfg)[0] for cfg in configs for g in graphs)
+    assert (len(configs), legal) == (2, 3)
+
+    counts = {}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("validate", "network_perf", "enumerate_points", "pareto_front"):
+        counted(dse, name)
+    assert main(["sweep", "--sweep", str(sweep)]) == EXIT_OK
+    assert counts == {
+        "validate": len(configs) * len(nets),
+        "network_perf": legal,
+        "enumerate_points": 1,
+        "pareto_front": 1,
+    }

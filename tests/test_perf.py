@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -207,6 +209,27 @@ def _graph_and_config(draw):
     return NetworkGraph("g", (h, x, c), 4, nodes), cfg, cal
 
 
+SHIPPED_NETS = ("squeezenet_v11", "zynqnet", "peleenet", "vgg16")
+
+
+def _shipped(data_dir, name):
+    from convaccel.graph import parse_network
+
+    return parse_network(os.path.join(data_dir, "networks", f"{name}.net"))
+
+
+def _reference_cycles(net, cfg, cal):
+    """conv_cycles_ref per convolution in order, or the first ConfigTooSmallError's text."""
+    want = []
+    for sn in net.shaped_nodes():
+        if sn.spec is not None:
+            try:
+                want.append(conv_cycles_ref(sn.spec, sn.in_geom, cfg, cal))
+            except ConfigTooSmallError as exc:
+                return str(exc)
+    return want
+
+
 @given(_graph_and_config())
 @settings(max_examples=300, deadline=None)
 def test_network_columns_match_scalar_oracles(case):
@@ -218,16 +241,13 @@ def test_network_columns_match_scalar_oracles(case):
     assert str(report) == text
 
     convs = [sn for sn in net.shaped_nodes() if sn.spec is not None]
-    want = []
-    for sn in convs:
-        try:
-            want.append(conv_cycles_ref(sn.spec, sn.in_geom, cfg, cal))
-        except ConfigTooSmallError as exc:
-            # the first failing layer in topological order names the error
-            with pytest.raises(ConfigTooSmallError) as got:
-                network_perf(net, cfg, cal)
-            assert str(got.value) == str(exc)
-            return
+    want = _reference_cycles(net, cfg, cal)
+    if isinstance(want, str):
+        # the first failing layer in topological order names the error
+        with pytest.raises(ConfigTooSmallError) as got:
+            network_perf(net, cfg, cal)
+        assert str(got.value) == want
+        return
     perf = network_perf(net, cfg, cal)
     assert [lp.node_id for lp in perf.layers] == [sn.node_id for sn in convs]
     assert [lp.cycles for lp in perf.layers] == want
@@ -238,6 +258,67 @@ def test_network_columns_match_scalar_oracles(case):
     assert [row[0] for row in perf.host_table()] == [
         sn.node_id for sn in net.shaped_nodes() if sn.spec is None
     ]
+
+
+def _budget_maxima(net):
+    """Per budget field, the largest value the network's convolutions put under it."""
+    top = dict.fromkeys(("win_x_chin_pad_max", "filter_x_filter_x_chin_max",
+                         "pwin_x_pch_max", "pch_max"), 0)
+    for sn in net.shaped_nodes():
+        if sn.spec is None:
+            continue
+        (h, x, ci), spec = sn.in_geom, sn.spec
+        f, p = spec.filter, spec.padding
+        top["win_x_chin_pad_max"] = max(top["win_x_chin_pad_max"], (x + 2 * p) * ci)
+        top["filter_x_filter_x_chin_max"] = max(top["filter_x_filter_x_chin_max"], f * f * ci)
+        if spec.pool is not None:
+            wo = (x + 2 * p - f) // spec.stride + 1
+            top["pwin_x_pch_max"] = max(top["pwin_x_pch_max"], wo * spec.co)
+            top["pch_max"] = max(top["pch_max"], spec.co)
+    # The weight budget must hold one output channel's weights, F*F*Ci.
+    top["chout_x_filter_x_filter_x_chin_max"] = top["filter_x_filter_x_chin_max"]
+    return top
+
+
+@pytest.mark.parametrize("name", SHIPPED_NETS)
+def test_legality_boundary_at_each_column_maximum(data_dir, name):
+    """Each budget at the network's largest value passes, one less fails, as in the oracle."""
+    net = _shipped(data_dir, name)
+    # A budget is at least 1: zynqnet has no pooled convolution, so no pool budget binds.
+    cases = [(f, top, top - d) for f, top in _budget_maxima(net).items() for d in (0, 1) if top > d]
+    cases += [("filter_max", 3, 3), ("filter_max", 3, 1)]  # every shipped network has a 3x3 layer
+    for field, top, limit in cases:
+        cfg = wide_open_config(**{field: limit})
+        ok, rows, text = validate_ref(net, cfg)
+        report = validate(net, cfg)
+        assert (report.ok, report.rows, str(report)) == (ok, rows, text), (field, limit)
+        assert ok == (limit == top), (field, limit)
+        want = _reference_cycles(net, cfg, Calibration())
+        if isinstance(want, str):
+            assert (field, limit) == ("chout_x_filter_x_filter_x_chin_max", top - 1)
+            with pytest.raises(ConfigTooSmallError) as got:
+                network_perf(net, cfg)
+            assert str(got.value) == want
+        else:
+            assert [lp.cycles for lp in network_perf(net, cfg).layers] == want
+
+
+@pytest.mark.parametrize(
+    "k", [(2**62, 2**62, 2**62), (2**64 - 1, 2**62 + 1, 2**63), (2**63 + 7, 2**64 - 1, 2**62 + 3)]
+)
+@pytest.mark.parametrize("name", ("squeezenet_v11", "vgg16"))
+def test_cycles_over_python_ints_match_the_oracle(data_dir, name, k):
+    # conf6 splits 8 of vgg16's 13 layers; both networks have pooled layers.
+    from convaccel.config import load_config
+
+    net = _shipped(data_dir, name)
+    cfg = load_config(os.path.join(data_dir, "configs", "conf6.cfg"))
+    cal = Calibration(k_pipe=k[0], k_layer=k[1], k_pool=k[2])
+    assert net.conv_columns.select(cfg, cal).dtype == object
+    want = _reference_cycles(net, cfg, cal)
+    layers = network_perf(net, cfg, cal).layers
+    assert [lp.cycles for lp in layers] == want
+    assert [lp.latency_ms for lp in layers] == [c.total_cycles / (cfg.freq_mhz * 1000.0) for c in want]
 
 
 def test_split_coherence_transfer_proportional_to_restreams():
