@@ -62,18 +62,10 @@ def layer_terms(net, cfg):
     rows = []
     rep0 = network_perf(net, cfg, zero)
     rep1 = network_perf(net, cfg, one)
-    for l0, l1 in zip(rep0.layers, rep1.layers):
-        windows = l1.cycles.compute_cycles - l0.cycles.compute_cycles
-        c = l0.cycles
-        rows.append(
-            (
-                c.compute_cycles,
-                windows,
-                c.transfer_in_cycles,
-                c.pool_cycles,
-                c.param_cycles + c.writeback_cycles,
-            )
-        )
+    # table() rows: (node_id, compute, transfer_in, param, writeback, pool, ...).
+    for row0, row1 in zip(rep0.table(), rep1.table()):
+        _, compute, transfer_in, param, writeback, pool, *_ = row0
+        rows.append((compute, row1[1] - compute, transfer_in, pool, param + writeback))
     return np.array(rows, dtype=np.float64)
 
 

@@ -4,7 +4,7 @@ Config files are key=value text using the canonical parameter names
 (FREQ, APACK, PPACK, ICP, OCP, PE_DSP, FILTER_MAX, WINxCHIN_PAD_MAX,
 FILTERxFILTERxCHIN_MAX, CHOUTxFILTERxFILTERxCHIN_MAX, CHOUT_MAX,
 PWINxPCH_MAX, PCH_MAX).  Calibration files use the same syntax with the
-Calibration field names.
+Calibration field names.  A key given twice is a parse error.
 """
 
 from __future__ import annotations
@@ -175,6 +175,8 @@ def _load_kv(path, types, what, build):
         key, value = map(str.strip, line.split("=", 1))
         if key not in types:
             raise ParseError(path, line_no, f"unknown {what} {key!r}")
+        if key in values:
+            raise ParseError(path, line_no, f"{what} {key!r} given twice")
         try:
             values[key] = types[key](value)
         except ValueError:

@@ -11,9 +11,10 @@ Sweep description file, line oriented ('#' starts a comment):
     cap <n>                             # enumeration cap (default 100000)
 
 PE_DSP accepts the literal value ``ocp`` to track the OCP of each point.
-Each parameter takes at most one axis line, each objective appears at
-most once and each network name names one workload; a repeat is a parse
-error, as is anything after cap's value.
+Each parameter takes at most one axis line and at most one value per
+point line, each objective and each constraint appears at most once,
+base and cap take one line each, and each network name names one
+workload; a repeat is a parse error, as is anything after cap's value.
 Every axis combination becomes one design point; combinations that fail
 configuration validation or whose workloads are not legal are emitted as
 infeasible rows.  The latency objective is the summed end-to-end latency
@@ -213,6 +214,7 @@ def load_sweep(path) -> SweepSpec:
     objectives: list[str] = []
     workloads: list[NetworkGraph] = []
     cap = DEFAULT_CAP
+    once = set()  # the directives that may appear only once
     base_dir = os.path.dirname(path) or "."
 
     def parse_value(param, text, line_no):
@@ -226,6 +228,10 @@ def load_sweep(path) -> SweepSpec:
     for line_no, line in text_lines(path):
         parts = line.split()
         head, rest = parts[0], parts[1:]
+        if head in ("base", "cap"):
+            if head in once:
+                raise ParseError(path, line_no, f"{head} given twice")
+            once.add(head)
         if head == "base":
             base = load_config(os.path.join(base_dir, " ".join(rest)))
         elif head == "workload":
@@ -250,6 +256,8 @@ def load_sweep(path) -> SweepSpec:
                 param, value = item.split("=", 1)
                 if param not in CONFIG_KEYS:
                     raise ParseError(path, line_no, f"unknown parameter {param!r}")
+                if param in fields:
+                    raise ParseError(path, line_no, f"parameter {param} given twice")
                 fields[param] = parse_value(param, value, line_no)
             points.append(fields)
         elif head == "constraint":
@@ -257,6 +265,8 @@ def load_sweep(path) -> SweepSpec:
                 raise ParseError(
                     path, line_no, f"constraint takes one of {CONSTRAINT_KEYS} and a value"
                 )
+            if rest[0] in constraints:
+                raise ParseError(path, line_no, f"constraint {rest[0]} given twice")
             try:
                 constraints[rest[0]] = _finite(rest[1])
             except ValueError:

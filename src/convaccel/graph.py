@@ -18,8 +18,9 @@ Network description file, line oriented ('#' starts a comment):
     node <id> fully_connected units=1000 params=<qfb path> inputs=a
     node <id> softmax inputs=a
 
-relu= and emit= take 0 or 1.  A convolution's input exponent is inherited
-from its producer, so the quantization chain is consistent by construction.
+relu= and emit= take 0 or 1; a header or a node key given twice is a
+parse error.  A convolution's input exponent is inherited from its
+producer, so the quantization chain is consistent by construction.
 
 parse_network reads a file in one pass over its lines into plain records,
 then one shape pass over them, in declaration order when the file is in
@@ -27,6 +28,9 @@ order, gives the shape chain, the conv cost columns and the host nodes.
 Layer fields are checked by the rule functions LayerSpec and DfpScheme
 use themselves (engine.check_layer, quant.check_scheme).  ConvNode,
 HostNode, ShapedNode and LayerSpec objects are built only when read.
+
+reshape_first_layer folds the input and the bank of a stride-2 layer by
+one space-to-depth step; no command applies it (README gives the cycles).
 """
 
 from __future__ import annotations
@@ -370,6 +374,10 @@ def _node_fields(parts, path, line_no):
     except ValueError:
         bad = next(item for item in parts[3:] if "=" not in item)
         raise ParseError(path, line_no, f"expected key=value, got {bad!r}") from None
+    if len(kv) < len(parts) - 3:
+        keys = [item.split("=", 1)[0] for item in parts[3:]]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ParseError(path, line_no, f"{repeated} given twice for {node_id!r}")
     if "inputs" not in kv:
         raise ParseError(path, line_no, f"node {node_id!r} missing inputs")
     inputs = kv.pop("inputs")
@@ -415,13 +423,17 @@ def parse_network(path) -> NetworkGraph:
     name = None
     input_geom = None
     input_frac = None
-    records, seen = [], {}
+    records, seen, headers = [], {}, set()
     for line_no, line in text_lines(path):
         parts = line.split()
         head = parts[0]
         if head == "node":
             records.append(_parse_node(parts, path, line_no, seen))
-        elif head == "network":
+            continue
+        if head in headers:
+            raise ParseError(path, line_no, f"{head} given twice")
+        headers.add(head)
+        if head == "network":
             if len(parts) != 2:
                 raise ParseError(path, line_no, "network takes one name")
             name = parts[1]
@@ -567,24 +579,32 @@ def validate(net: NetworkGraph, cfg: AccelConfig) -> LegalityReport:
 # Spatial fold factor: only stride-2 layers are folded.
 FOLD = 2
 
-# Tap relocation tables: original filter row index -> (folded kernel row,
-# fold sub-row).  Column mapping is identical by symmetry.
-_TAP_MAPS = {
-    (1, 0): {0: (0, 0)},
-    (3, 1): {0: (0, 1), 1: (1, 0), 2: (1, 1)},
-    (3, 0): {0: (1, 0), 1: (1, 1), 2: (2, 0)},
-}
+
+def _space_to_depth(arr: np.ndarray, offset: int, rows: int, cols: int) -> np.ndarray:
+    """Fold FOLD x FOLD spatial blocks of an (..., h, x, c) array into channels.
+
+    The array sits at (offset, offset) in a zero canvas of FOLD*rows x
+    FOLD*cols.  Channel k of block sub-position (dy, dx) lands at channel
+    (dy*FOLD + dx)*c + k of the (..., rows, cols, FOLD*FOLD*c) result.
+    """
+    *lead, h, x, c = arr.shape
+    canvas = np.zeros((*lead, FOLD * rows, FOLD * cols, c), dtype=arr.dtype)
+    canvas[..., offset : offset + h, offset : offset + x, :] = arr
+    blocks = canvas.reshape(*lead, rows, FOLD, cols, FOLD, c).swapaxes(-4, -3)
+    return blocks.reshape(*lead, rows, cols, FOLD * FOLD * c)
 
 
 @dataclass(frozen=True)
 class ReshapeTransform:
     """Equivalence-preserving fold of a small-channel stride-2 layer.
 
-    Spatial 2x2 blocks of the input fold into the channel dimension
-    (channel c of sub-position (dy, dx) lands at (dy*2+dx)*ci + c), the
-    filter taps relocate per ``tap_map``, and for pad-0 layers the folded
-    output carries extra border rows that are cropped away.  Execution of
-    the folded layer is bit-exact equal to the original.
+    The input and the filter bank are folded by one space-to-depth step:
+    channel c of sub-position (dy, dx) lands at (dy*2+dx)*ci + c.  The
+    bank sits FOLD*new_pad - pad taps into its canvas, so original tap f
+    moves to ``tap_map[f]`` = (folded kernel row, fold sub-row); columns
+    map the same way.  For pad-0 layers the folded output carries extra
+    border rows that are cropped away.  Execution of the folded layer is
+    bit-exact equal to the original.
     """
 
     original_spec: LayerSpec
@@ -608,44 +628,18 @@ class ReshapeTransform:
     def fold_input(self, t: QTensor3) -> QTensor3:
         if t.geom != self.original_geom:
             raise ShapeError(f"expected input {self.original_geom}, got {t.geom}")
-        h, x, ci = t.geom
         fh, fx, fc = self.reshaped_geom
-        src = t.as_3d()
-        out = np.zeros((fh, fx, fc), dtype=np.int8)
-        for dy in range(FOLD):
-            for dx in range(FOLD):
-                rows = (h - dy + FOLD - 1) // FOLD
-                cols = (x - dx + FOLD - 1) // FOLD
-                block = (dy * FOLD + dx) * ci
-                out[:rows, :cols, block : block + ci] = src[dy :: FOLD, dx :: FOLD]
-        return QTensor3(fh, fx, fc, out.reshape(-1), t.frac_bits)
+        out = _space_to_depth(t.as_3d(), 0, fh, fx)
+        return replace(t, height=fh, width=fx, channels=fc, values=out.reshape(-1))
 
     def fold_bank(self, bank: QFilterBank) -> QFilterBank:
-        if bank.geom != (
-            self.original_spec.co,
-            self.original_spec.filter,
-            self.original_spec.filter,
-            self.original_geom[2],
-        ):
+        f, ci = self.original_spec.filter, self.original_geom[2]
+        if bank.geom != (self.original_spec.co, f, f, ci):
             raise ShapeError(f"bank {bank.geom} does not match the original layer")
-        ci = bank.ci
         k = self.reshaped_spec.filter
-        out = np.zeros((bank.co, k, k, self.reshaped_geom[2]), dtype=np.int8)
-        w4 = bank.as_4d()
-        for fy, (gy, dy) in self.tap_map.items():
-            for fx, (gx, dx) in self.tap_map.items():
-                block = (dy * FOLD + dx) * ci
-                out[:, gy, gx, block : block + ci] = w4[:, fy, fx, :]
-        return QFilterBank(
-            bank.co,
-            k,
-            k,
-            self.reshaped_geom[2],
-            out.reshape(-1),
-            bank.biases,
-            bank.weight_frac_bits,
-            bank.bias_frac_bits,
-        )
+        g, d = self.tap_map[0]  # tap 0 sits FOLD*new_pad - pad cells into the canvas
+        out = _space_to_depth(bank.as_4d(), FOLD * g + d, k, k)
+        return replace(bank, fh=k, fw=k, ci=self.reshaped_geom[2], weights=out.reshape(-1))
 
     def run(self, ia: QTensor3, bank: QFilterBank) -> QTensor3:
         """Execute the folded layer; bit-exact equal to accel_exec on the original."""
@@ -654,46 +648,36 @@ class ReshapeTransform:
         out = conv_exec(folded, folded_bank, replace(self.reshaped_spec, pool=None))
         ho, wo = self.crop
         if (out.height, out.width) != (ho, wo):
-            cropped = out.as_3d()[:ho, :wo]
-            out = QTensor3(ho, wo, out.channels, cropped.reshape(-1), out.frac_bits)
+            out = replace(out, height=ho, width=wo, values=out.as_3d()[:ho, :wo].reshape(-1))
         if self.original_spec.pool is not None:
             out = mpool_exec(out, self.original_spec.pool.window)
         return out
 
+    # A tap reads real data exactly when its row and its column both do, so
+    # each count is (row hits) x (column hits) x ci x co.
+
     def mac_count_original(self) -> int:
         """Multiplies touching real (non-padding) input positions."""
         spec, (h, x, ci) = self.original_spec, self.original_geom
+        s, p, taps = spec.stride, spec.padding, range(spec.filter)
+
+        def hits(n_out, n_in):
+            return sum(0 <= s * o + f - p < n_in for o in range(n_out) for f in taps)
+
         ho, wo = conv_out_dims(h, x, spec)
-        taps = 0
-        for yo in range(ho):
-            for xo in range(wo):
-                for fy in range(spec.filter):
-                    if not 0 <= spec.stride * yo + fy - spec.padding < h:
-                        continue
-                    for fx in range(spec.filter):
-                        if 0 <= spec.stride * xo + fx - spec.padding < x:
-                            taps += 1
-        return taps * ci * spec.co
+        return hits(ho, h) * hits(wo, x) * ci * spec.co
 
     def mac_count_reshaped(self) -> int:
         """Multiplies of the folded layer hitting real data via the index maps."""
-        spec = self.reshaped_spec
-        fh, fx, _ = self.reshaped_geom
-        h, x, ci = self.original_geom
+        (fh, fx, _), (h, x, ci) = self.reshaped_geom, self.original_geom
+        p, taps = self.reshaped_spec.padding, self.tap_map.values()
+
+        def hits(n_out, n_fold, n_in):
+            cells = ((o - p + g, d) for o in range(n_out) for g, d in taps)
+            return sum(0 <= c < n_fold and FOLD * c + d < n_in for c, d in cells)
+
         ho, wo = self.crop
-        pad = spec.padding
-        taps = 0
-        for yo in range(ho):
-            for xo in range(wo):
-                for _, (gy, dy) in self.tap_map.items():
-                    fy = yo - pad + gy
-                    if not 0 <= fy < fh or FOLD * fy + dy >= h:
-                        continue
-                    for _, (gx, dx) in self.tap_map.items():
-                        fxx = xo - pad + gx
-                        if 0 <= fxx < fx and FOLD * fxx + dx < x:
-                            taps += 1
-        return taps * ci * spec.co
+        return hits(ho, fh, h) * hits(wo, fx, x) * ci * self.reshaped_spec.co
 
 
 def reshape_first_layer(
@@ -710,15 +694,11 @@ def reshape_first_layer(
     if spec.stride < 2 or in_geom[2] >= icp / 2:
         return None
     h, x, ci = in_geom
-    conv_out_dims(h, x, spec)  # geometry sanity before transforming
-    tap_map = _TAP_MAPS[(spec.filter, spec.padding)]
+    crop = conv_out_dims(h, x, spec)  # geometry sanity before transforming
+    new_filter, new_pad = (1, 0) if spec.filter == 1 else (3, 1)
+    tap_map = {f: divmod(f + FOLD * new_pad - spec.padding, FOLD) for f in range(spec.filter)}
     folded_geom = (-(-h // FOLD), -(-x // FOLD), ci * FOLD * FOLD)
-    if spec.filter == 1:
-        new_filter, new_pad = 1, 0
-    else:
-        new_filter, new_pad = 3, 1
     reshaped = LayerSpec(new_filter, 1, new_pad, spec.co, spec.relu, spec.pool, spec.scheme)
-    crop = conv_out_dims(h, x, spec)
     gs = [g for g, _ in tap_map.values()]
     return ReshapeTransform(
         spec, in_geom, reshaped, folded_geom, tap_map, crop, max(gs) - min(gs) + 1

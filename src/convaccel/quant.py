@@ -65,8 +65,7 @@ def choose_frac_bits(data) -> int:
     arr = np.asarray(data, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError("cannot choose an exponent for empty data")
-    if not np.isfinite(arr).all():
-        raise ValueError("data contains non-finite values")
+    _check_finite(arr)
     m = float(np.max(np.abs(arr)))
     if m == 0.0:
         return ZERO_DATA_FRAC
@@ -80,12 +79,18 @@ def choose_frac_bits(data) -> int:
     return f
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError("data contains non-finite values")
+
+
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5))
 
 
 def quantize(t: FTensor3, frac_bits: int) -> QTensor3:
     """Quantize to int8 at the given exponent; saturation absorbs overflow."""
+    _check_finite(t.values)
     scaled = t.values * 2.0**frac_bits
     q = np.clip(_round_half_away(scaled), I8_MIN, I8_MAX).astype(np.int8)
     return QTensor3(t.height, t.width, t.channels, q, frac_bits)

@@ -213,3 +213,80 @@ def validate_ref(net, cfg):
         f"{r.node_id}: {r.verdict}" + (f" ({r.detail})" if r.detail else "") for r in rows
     )
     return ok, tuple(rows), text
+
+
+# The first-layer fold's tap relocation as a literal table, keyed by the
+# original (filter, padding): original filter row -> (folded kernel row,
+# fold sub-row).  Columns map the same way.
+FOLD_TAP_MAPS = {
+    (1, 0): {0: (0, 0)},
+    (3, 1): {0: (0, 1), 1: (1, 0), 2: (1, 1)},
+    (3, 0): {0: (1, 0), 1: (1, 1), 2: (2, 0)},
+}
+
+
+def fold_geometry_ref(spec: LayerSpec, in_geom):
+    """(folded kernel size, folded padding, folded (h, x, c), crop) of a stride-2 fold."""
+    h, x, ci = in_geom
+    f, s, p = spec.filter, spec.stride, spec.padding
+    crop = ((h + 2 * p - f) // s + 1, (x + 2 * p - f) // s + 1)
+    k, pad = (1, 0) if f == 1 else (3, 1)
+    return k, pad, ((h + 1) // 2, (x + 1) // 2, 4 * ci), crop
+
+
+def fold_input_ref(ia: QTensor3) -> list[int]:
+    """Folded activations, element by element: (y, x, c) lands at
+    (y // 2, x // 2, ((y % 2) * 2 + x % 2) * ci + c)."""
+    h, x, ci = ia.height, ia.width, ia.channels
+    fx, fc = (x + 1) // 2, 4 * ci
+    out = [0] * ((h + 1) // 2 * fx * fc)
+    for y in range(h):
+        for xx in range(x):
+            for c in range(ci):
+                block = (y % 2) * 2 + xx % 2
+                out[((y // 2) * fx + xx // 2) * fc + block * ci + c] = ia.at(y, xx, c)
+    return out
+
+
+def fold_bank_ref(bank: QFilterBank, padding: int) -> list[int]:
+    """Folded weights, scattered tap by tap through FOLD_TAP_MAPS."""
+    co, f, _, ci = bank.geom
+    tap_map = FOLD_TAP_MAPS[(f, padding)]
+    k, fc = (1 if f == 1 else 3), 4 * ci
+    w = [int(v) for v in bank.weights]
+    out = [0] * (co * k * k * fc)
+    for o in range(co):
+        for fy, (gy, dy) in tap_map.items():
+            for fx, (gx, dx) in tap_map.items():
+                for c in range(ci):
+                    dst = ((o * k + gy) * k + gx) * fc + (dy * 2 + dx) * ci + c
+                    out[dst] = w[((o * f + fy) * f + fx) * ci + c]
+    return out
+
+
+def fold_macs_ref(spec: LayerSpec, in_geom) -> tuple[int, int]:
+    """(original, folded) multiplies that touch real input data, tap by tap."""
+    h, x, ci = in_geom
+    _, pad, (fh, fx, _), (ho, wo) = fold_geometry_ref(spec, in_geom)
+    original = 0
+    for yo in range(ho):
+        for xo in range(wo):
+            for fy in range(spec.filter):
+                if not 0 <= spec.stride * yo + fy - spec.padding < h:
+                    continue
+                for fxx in range(spec.filter):
+                    if 0 <= spec.stride * xo + fxx - spec.padding < x:
+                        original += 1
+    tap_map = FOLD_TAP_MAPS[(spec.filter, spec.padding)]
+    folded = 0
+    for yo in range(ho):
+        for xo in range(wo):
+            for gy, dy in tap_map.values():
+                cy = yo - pad + gy
+                if not 0 <= cy < fh or 2 * cy + dy >= h:
+                    continue
+                for gx, dx in tap_map.values():
+                    cx = xo - pad + gx
+                    if 0 <= cx < fx and 2 * cx + dx < x:
+                        folded += 1
+    return original * ci * spec.co, folded * ci * spec.co

@@ -108,6 +108,25 @@ def test_quantize_nan_rejected(tmp_path, capsys):
     assert "bad.qt3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, obj",
+    [
+        ("bad.qt3", FTensor3(1, 1, 3, [float("nan"), 1.0, float("inf")])),
+        ("bad.qfb", FFilterBank(1, 1, 1, 2, [0.5, float("-inf")], [0.25])),
+    ],
+    ids=["tensor", "bank"],
+)
+def test_quantize_forced_exponent_rejects_non_finite_data(tmp_path, capsys, name, obj):
+    path = tmp_path / name
+    (save_bank if isinstance(obj, FFilterBank) else save_tensor)(obj, path)
+    out = tmp_path / "out"
+    assert main(["quantize", str(path), "--out-dir", str(out), "--frac-bits", "3"]) == EXIT_LOAD
+    captured = capsys.readouterr()
+    assert f"{name}: data contains non-finite values" in captured.err
+    assert captured.out == ""
+    assert not (out / name).exists()
+
+
 # Exponents no DfpScheme accepts, chosen from the data or forced by the flag.
 @pytest.mark.parametrize(
     "name, obj, flags, exponent",

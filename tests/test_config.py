@@ -7,8 +7,9 @@ from dataclasses import fields
 import pytest
 
 from conftest import DATA_DIR
-from convaccel import load_config
+from convaccel import load_calibration, load_config
 from convaccel.config import AccelConfig, Calibration
+from convaccel.errors import ParseError
 
 
 @pytest.mark.parametrize("name", [f"conf{i}" for i in range(1, 7)])
@@ -36,3 +37,22 @@ def test_calibration_rejects_bad_field(field, value):
     message = "must be nonnegative" if isinstance(value, int) else "must be finite"
     with pytest.raises(ValueError, match=f"^{field} {message}$"):
         Calibration(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "loader, shipped, key, message",
+    [
+        (load_config, "configs/conf1.cfg", "ICP", "parameter 'ICP' given twice"),
+        (load_calibration, "calibration/default.cal", "k_pipe", "calibration field 'k_pipe' given twice"),
+    ],
+    ids=["cfg", "cal"],
+)
+def test_repeated_key_is_parse_error(tmp_path, loader, shipped, key, message):
+    with open(os.path.join(DATA_DIR, shipped), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    line = next(line for line in lines if line.split("=")[0] == key)
+    path = tmp_path / os.path.basename(shipped)
+    path.write_text("\n".join(lines + [line]) + "\n")
+    with pytest.raises(ParseError) as err:
+        loader(str(path))
+    assert str(err.value) == f"{path}:{len(lines) + 1}: {message}"

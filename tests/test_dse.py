@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import seeded, wide_open_config
+from conftest import DATA_DIR, seeded, wide_open_config
 from convaccel import dse
 from convaccel.cli import EXIT_OK, EXIT_PARSE, main
 from convaccel.dse import (
@@ -274,8 +274,17 @@ def test_sweep_filters_the_feasible_set_once(monkeypatch, data_dir):
         (["axis ICP 8 16", "objective latency", "objective dsp latency"], 5,
          "objective 'latency' given twice"),
         (["axis ICP 8 16", "cap 10 junk"], 4, "cap takes one integer"),
+        (["point ICP=16 ICP=32"], 3, "parameter ICP given twice"),
+        (["axis ICP 8 16", "constraint max_dsp 100", "constraint max_dsp 200"], 5,
+         "constraint max_dsp given twice"),
+        (["axis ICP 8 16", f"base {os.path.join(DATA_DIR, 'configs', 'conf2.cfg')}"], 4,
+         "base given twice"),
+        (["axis ICP 8 16", "cap 10", "cap 20"], 5, "cap given twice"),
     ],
-    ids=["axis_twice", "objective_twice", "objective_twice_across_lines", "cap_extra"],
+    ids=[
+        "axis_twice", "objective_twice", "objective_twice_across_lines", "cap_extra",
+        "point_key_twice", "constraint_twice", "base_twice", "cap_twice",
+    ],
 )
 def test_sweep_input_that_would_be_dropped_is_parse_error(
     tmp_path, capsys, data_dir, lines, line_no, message

@@ -21,7 +21,14 @@ from convaccel import (
 from convaccel.engine import plan_split
 from convaccel.errors import LoadError, ParseError, ValidationError
 from convaccel.graph import ConvNode, HostNode, NetworkGraph, fc_block_rows, save_network
-from reference import layer_ref
+from reference import (
+    FOLD_TAP_MAPS,
+    fold_bank_ref,
+    fold_geometry_ref,
+    fold_input_ref,
+    fold_macs_ref,
+    layer_ref,
+)
 
 
 def _conv_node(node_id, inputs, *, f=1, s=1, p=0, co=4, relu=False, pool=None,
@@ -212,8 +219,19 @@ _HEADER = "network x\ninput 4 4 2\ninput_frac 4\n"
          "unknown keys for 'a': ['params']"),
         (_HEADER + "node a softmax params=a.qfb inputs=input\n", 4,
          "unknown keys for 'a': ['params']"),
+        # A repeated key or header would otherwise keep its last value:
+        # "filter=3 filter=1" would run as a 1x1 layer.
+        (_HEADER + "node a conv filter=3 filter=1 stride=1 pad=0 co=4 relu=1 fo=4 fp=4 fb=4"
+         " inputs=input\n", 4, "filter given twice for 'a'"),
+        (_HEADER + "node a concat inputs=input inputs=a\n", 4, "inputs given twice for 'a'"),
+        (_HEADER + "network y\n", 4, "network given twice"),
+        ("network x\ninput 4 4 2\ninput 8 8 2\ninput_frac 4\n", 3, "input given twice"),
+        (_HEADER + "input_frac 5\n", 4, "input_frac given twice"),
     ],
-    ids=["input_frac_extra", "concat_params", "global_avg_pool_params", "softmax_params"],
+    ids=[
+        "input_frac_extra", "concat_params", "global_avg_pool_params", "softmax_params",
+        "node_key_twice", "node_inputs_twice", "network_twice", "input_twice", "input_frac_twice",
+    ],
 )
 def test_unread_network_input_is_parse_error(tmp_path, text, line_no, message):
     path = tmp_path / "bad.net"
@@ -668,6 +686,31 @@ def test_reshape_activation_map_hits_real_data():
                     assert got == 0
                 else:
                     assert got == ia.at(*src)
+
+
+def test_reshape_matches_the_fold_oracle_over_a_grid():
+    """Every fold shape up to 13x13: 822 cases against tests/reference.py."""
+    rng = seeded(101)
+    cases = 0
+    for (f, p), table in FOLD_TAP_MAPS.items():
+        for h in range(f, 14):
+            for x in range(f, 14):
+                for ci in (1, 3):
+                    spec = LayerSpec(f, 2, p, 2, False, None, DfpScheme(4, 4, 4, 4))
+                    t = reshape_first_layer(spec, (h, x, ci), icp=32)
+                    k, pad, geom, crop = fold_geometry_ref(spec, (h, x, ci))
+                    assert t.tap_map == table
+                    assert (t.reshaped_spec.filter, t.reshaped_spec.padding) == (k, pad)
+                    assert (t.reshaped_geom, t.crop) == (geom, crop)
+                    assert (t.mac_count_original(), t.mac_count_reshaped()) == fold_macs_ref(
+                        spec, (h, x, ci)
+                    )
+                    ia = random_tensor(rng, h, x, ci, frac=4)
+                    assert t.fold_input(ia).values.tolist() == fold_input_ref(ia)
+                    bank = random_bank(rng, 2, f, ci, wf=4, bf=4)
+                    assert t.fold_bank(bank).weights.tolist() == fold_bank_ref(bank, p)
+                    cases += 1
+    assert cases == 822
 
 
 # ---------------------------------------------------------------------------
