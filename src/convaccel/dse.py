@@ -16,9 +16,10 @@ point line, each objective and each constraint appears at most once,
 base and cap take one line each, and each network name names one
 workload; a repeat is a parse error, as is anything after cap's value.
 Every axis combination becomes one design point; combinations that fail
-configuration validation or whose workloads are not legal are emitted as
-infeasible rows.  The latency objective is the summed end-to-end latency
-over the workloads; max_latency_ms constrains each workload separately.
+configuration validation, or whose workloads are not legal or have a
+latency that is not finite, are emitted as infeasible rows.  The latency
+objective is the summed end-to-end latency over the workloads;
+max_latency_ms constrains each workload separately.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from .config import CONFIG_KEYS, DEFAULT_CALIBRATION, AccelConfig, Calibration
 from .config import load_config, text_lines
-from .errors import ParseError, SweepCapError
+from .errors import ParseError, SweepCapError, ValidationError
 from .graph import NetworkGraph, parse_network, validate
 from .perf import estimate_resources, network_perf
 
@@ -88,7 +89,11 @@ def _evaluate(cfg: AccelConfig, spec: SweepSpec, calib: Calibration, workloads):
             bad = [r.node_id for r in legality.rows if r.verdict == "unsupported"]
             problems.append(f"{net.name}: unsupported layers {', '.join(bad)}")
             continue
-        ms = network_perf(net, cfg, calib).end_to_end_ms
+        try:
+            ms = network_perf(net, cfg, calib).end_to_end_ms
+        except ValidationError as exc:  # a latency that overflows
+            problems.append(str(exc))
+            continue
         metrics[key] = ms
         total += ms
         if max_ms is not None and ms > max_ms:

@@ -22,9 +22,11 @@ relu= and emit= take 0 or 1; a header or a node key given twice is a
 parse error.  A convolution's input exponent is inherited from its
 producer, so the quantization chain is consistent by construction.
 
-parse_network reads a file in one pass over its lines into plain records,
-then one shape pass over them, in declaration order when the file is in
-order, gives the shape chain, the conv cost columns and the host nodes.
+parse_network reads a file in one pass over its lines into plain records:
+one pattern reads a node line spelled as save_network writes it, and the
+general line parser any other spelling, to the same record.  Then one
+shape pass over them, in declaration order when the file is in order,
+gives the shape chain, the conv cost columns and the host nodes.
 Layer fields are checked by the rule functions LayerSpec and DfpScheme
 use themselves (engine.check_layer, quant.check_scheme).  ConvNode,
 HostNode, ShapedNode and LayerSpec objects are built only when read.
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
@@ -341,6 +344,17 @@ def _host_shape(node_id, kind, units, in_geoms, in_fracs):
 
 _POOLS = {"none": None, "2x2s2": PoolSpec(2), "3x3s2": PoolSpec(3)}
 
+# The node line as save_network writes it.  parse_network builds its record
+# from the groups, as _node_fields would; every other spelling goes there,
+# a value longer than 18 digits too (int() refuses one past its digit limit).
+_N, _Z = "([0-9]{1,18})", "(-?[0-9]{1,18})"
+_NODE_LINE = re.compile(
+    rf"node (\S+) (?:(?:conv filter={_N} stride={_N} pad={_N} co={_N} relu=([01])"
+    rf" pool=(none|2x2s2|3x3s2) fo={_Z} fp={_Z} fb={_Z}"
+    rf"|fully_connected units={_N}) params=(\S+)|(concat|global_avg_pool|softmax))"
+    r" inputs=(\S+)"
+).fullmatch
+
 
 # The integer fields of a conv node, in the order their errors are reported.
 _CONV_INTS = ("filter", "stride", "pad", "co", "relu", "fo", "fp", "fb")
@@ -365,7 +379,7 @@ def _flag(text, key, path, line_no):
 
 
 def _node_fields(parts, path, line_no):
-    """(attrs, emit, params, inputs text) of the node line split into ``parts``."""
+    """The record of the node line split into ``parts``, "node" first."""
     if len(parts) < 3:
         raise ParseError(path, line_no, "node needs an id and a kind")
     node_id, kind = parts[1], parts[2]
@@ -397,38 +411,31 @@ def _node_fields(parts, path, line_no):
         raise ParseError(path, line_no, f"unknown node kind {kind!r}")
     if kv:
         raise ParseError(path, line_no, f"unknown keys for {node_id!r}: {sorted(kv)}")
-    return attrs, emit, params, inputs
-
-
-def _parse_node(parts, path, line_no, seen):
-    """The record of the node line split into ``parts``, "node" first.
-
-    Layers repeat their fields (peleenet: 10 distinct sets in 114
-    convolutions).  ``seen`` keeps (attrs, emit) per kind and leading items
-    of a line that ends "params=P inputs=I", as save_network writes it: P
-    and I change neither, nor whether the line parses.  No item holds a
-    space, so joining them with spaces makes a key that splits back.
-    """
-    if len(parts) > 4 and parts[-2][:7] == "params=" and parts[-1][:7] == "inputs=":
-        key = " ".join(parts[2:-2])
-        if key not in seen:
-            seen[key] = _node_fields(parts, path, line_no)[:2]
-        (attrs, emit), params, inputs = seen[key], parts[-2][7:], parts[-1][7:]
-    else:
-        attrs, emit, params, inputs = _node_fields(parts, path, line_no)
-    return (parts[1], parts[2], tuple(filter(None, inputs.split(","))), attrs, params, emit)
+    return (node_id, kind, tuple(filter(None, inputs.split(","))), attrs, params, emit)
 
 
 def parse_network(path) -> NetworkGraph:
     name = None
     input_geom = None
     input_frac = None
-    records, seen, headers = [], {}, set()
+    records, headers = [], set()
     for line_no, line in text_lines(path):
+        m = _NODE_LINE(line)
+        if m:
+            node_id, f, s, p, co, relu, pool, fo, fp, fb, units, params, host, inputs = m.groups()
+            if f:
+                kind = "conv"
+                attrs = (int(f), int(s), int(p), int(co), relu == "1", _POOLS[pool],
+                         int(fo), int(fp), int(fb))
+            else:
+                kind, attrs = (host, 0) if host else ("fully_connected", int(units))
+            inputs = tuple(filter(None, inputs.split(",")))
+            records.append((node_id, kind, inputs, attrs, params, False))
+            continue
         parts = line.split()
         head = parts[0]
         if head == "node":
-            records.append(_parse_node(parts, path, line_no, seen))
+            records.append(_node_fields(parts, path, line_no))
             continue
         if head in headers:
             raise ParseError(path, line_no, f"{head} given twice")

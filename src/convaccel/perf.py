@@ -58,6 +58,7 @@ counted twice.  Power follows a linear trend in frequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +66,7 @@ import numpy as np
 
 from .config import AccelConfig, Calibration, DEFAULT_CALIBRATION
 from .engine import LayerSpec, conv_out_dims, out_dims, pool_out_dims, split_groups
+from .errors import ValidationError
 
 # Rows of ConvColumns.values.  validate compares the first five against
 # the buffer budgets; the two pool rows hold 0 for a layer without a pool,
@@ -126,6 +128,9 @@ class PerfReport:
         self._layer_ms = layer_ms
         self._host = host  # (node_id, kind, units) per host node
         self._host_ms = host_ms
+        self.conv_ms = sum(layer_ms)
+        self.host_ms = sum(host_ms)
+        self.end_to_end_ms = self.conv_ms + self.host_ms
 
     def table(self):
         """Per layer: (node_id, the LayerCycles fields in order, latency_ms)."""
@@ -139,18 +144,6 @@ class PerfReport:
     def layers(self) -> tuple[LayerPerf, ...]:
         rows = self.table()
         return tuple(LayerPerf(node_id, LayerCycles(*c), ms) for node_id, *c, ms in rows)
-
-    @property
-    def conv_ms(self) -> float:
-        return sum(self._layer_ms)
-
-    @property
-    def host_ms(self) -> float:
-        return sum(self._host_ms)
-
-    @property
-    def end_to_end_ms(self) -> float:
-        return self.conv_ms + self.host_ms
 
 
 @dataclass(frozen=True)
@@ -295,6 +288,15 @@ def host_units(kind: str, in_elems: int, out_elems: int) -> int:
     raise ValueError(f"unknown host op kind {kind!r}")
 
 
+def _terms_or_inf(terms):
+    """The float ``terms`` as a list, or [inf] when an int among them is too
+    large for a float; a float quotient or product that overflows is inf."""
+    try:
+        return list(terms)
+    except OverflowError:
+        return [math.inf]
+
+
 def network_perf(
     net, cfg: AccelConfig, calib: Calibration = DEFAULT_CALIBRATION
 ) -> PerfReport:
@@ -304,14 +306,23 @@ def network_perf(
     node is charged at the flat host cost.  ``net`` must provide ``name``,
     ``conv_columns`` (a ConvColumns over its convolutions in topological
     order) and ``host_nodes`` ((node_id, kind, units) per host node, in
-    topological order); see the graph module.
+    topological order); see the graph module.  Raises ValidationError when
+    the end-to-end latency is not finite, as a tiny FREQ, a huge
+    host_ns_per_unit or a total too large for a float can make it.
     """
     cols = net.conv_columns
     cycles = layer_cycles(cols, cfg, calib)
-    layer_ms = (cycles[-1] / (cfg.freq_mhz * 1000.0)).tolist()
+    khz = cfg.freq_mhz * 1000.0
+    layer_ms = _terms_or_inf(c / khz for c in cycles[-1].tolist())
     ns = calib.host_ns_per_unit
-    host_ms = [units * ns / 1e6 for _, _, units in net.host_nodes]
-    return PerfReport(net.name, cols.node_ids, cycles, layer_ms, net.host_nodes, host_ms)
+    host_ms = _terms_or_inf(units * ns / 1e6 for _, _, units in net.host_nodes)
+    report = PerfReport(net.name, cols.node_ids, cycles, layer_ms, net.host_nodes, host_ms)
+    if not math.isfinite(report.end_to_end_ms):
+        raise ValidationError(
+            f"{net.name}: latency is not finite: conv {report.conv_ms:g} ms at "
+            f"FREQ={cfg.freq_mhz:g}, host {report.host_ms:g} ms at host_ns_per_unit={ns:g}"
+        )
+    return report
 
 
 def estimate_resources(

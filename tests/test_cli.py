@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +28,7 @@ from convaccel import (
 )
 from convaccel import cli, errors
 from convaccel.cli import EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
-from convaccel.config import save_config
+from convaccel.config import load_config, save_config
 from convaccel.quant import FRAC_MAX, FRAC_MIN, quantize
 from convaccel.graph import ConvNode, HostNode, NetworkGraph, save_network
 from convaccel.tensors import QFilterBank, load_bank
@@ -265,6 +266,55 @@ def test_run_accumulator_overflow_is_validation_error(tmp_path, capsys):
             "--input", str(tmp_path / "in.qt3"), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: c: rescaled accumulator outside 32-bit range\n"
+
+
+@pytest.mark.parametrize("cause", ["FREQ", "host_ns_per_unit", "k_layer", "units"])
+def test_estimate_non_finite_latency_is_validation_error(tmp_path, capsys, data_dir, cause):
+    # A FREQ this small overflows each layer's cycles / FREQ to inf, with no
+    # NumPy warning (pytest turns one into an error); host_ns_per_unit this
+    # large overflows each host node's charge.  A k_layer or a units value
+    # past the float range makes a total that no float holds.
+    cfg = load_config(os.path.join(data_dir, "configs", "conf6.cfg"))
+    net = os.path.join(data_dir, "networks", "squeezenet_v11.net")
+    name, huge = "squeezenet_v11", "1" + "0" * 400
+    if cause == "FREQ":
+        cfg = replace(cfg, freq_mhz=1e-310)
+        detail = "conv inf ms at FREQ=1e-310, host 1.6477 ms at host_ns_per_unit=1.376"
+    elif cause == "host_ns_per_unit":
+        (tmp_path / "c.cal").write_text("host_ns_per_unit=1e308\n")
+        detail = "conv 6.88337 ms at FREQ=300, host inf ms at host_ns_per_unit=1e+308"
+    elif cause == "k_layer":
+        (tmp_path / "c.cal").write_text(f"k_layer={huge}\n")
+        detail = "conv inf ms at FREQ=300, host 1.6477 ms at host_ns_per_unit=1.376"
+    else:
+        net, name = str(tmp_path / "fc.net"), "fc"
+        (tmp_path / "fc.net").write_text(
+            f"network fc\ninput 2 2 1\ninput_frac 4\n"
+            f"node f fully_connected units={huge} params=f.qfb inputs=input\n"
+        )
+        detail = "conv 0 ms at FREQ=300, host inf ms at host_ns_per_unit=1.376"
+    save_config(cfg, tmp_path / "c.cfg")
+    argv = ["estimate", "--net", net, "--config", str(tmp_path / "c.cfg")]
+    if (tmp_path / "c.cal").exists():
+        argv += ["--calibration", str(tmp_path / "c.cal")]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {name}: latency is not finite: {detail}\n"
+
+
+def test_run_non_finite_latency_is_validation_error_and_writes_nothing(tmp_path, capsys):
+    rng = seeded(421)
+    ia, bank, spec = random_instance(rng, max_hw=5, max_ch=5)
+    net_path = _write_single_conv_net(tmp_path, ia, bank, spec)
+    save_config(wide_open_config(freq_mhz=1e-310), tmp_path / "cfg.cfg")
+    save_tensor(ia, tmp_path / "in.qt3")
+    argv = ["run", "--net", net_path, "--config", str(tmp_path / "cfg.cfg"),
+            "--input", str(tmp_path / "in.qt3"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: one: latency is not finite: conv inf ms")
+    assert not (tmp_path / "out").exists()
 
 
 # The exit code of each concrete AccelError subclass raised inside a command.

@@ -254,3 +254,26 @@ def test_calibration_script_rewrites_the_shipped_fit(tmp_path):
         quoted = re.search(r"Achieved fit: ([0-9.]+)% mean relative error", fh.read()).group(1)
     assert mre == "14.519"
     assert round(float(mre), 1) == float(quoted)
+
+
+def test_network_script_rewrites_the_shipped_networks(tmp_path):
+    """build_networks.py, run on a copy of scripts/, writes every data/networks/*.net
+    byte for byte, and the node-line pattern reads each node line it writes."""
+    import shutil
+
+    from convaccel import graph
+
+    shutil.copytree(os.path.join(REPO_ROOT, "scripts"), tmp_path / "scripts")
+    os.symlink(os.path.join(REPO_ROOT, "src"), tmp_path / "src")
+    script = tmp_path / "scripts" / "build_networks.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    shipped = sorted(glob.glob(os.path.join(DATA_DIR, "networks", "*.net")))
+    written = sorted(glob.glob(str(tmp_path / "data" / "networks" / "*.net")))
+    assert list(map(os.path.basename, written)) == list(map(os.path.basename, shipped))
+    for ours, theirs in zip(written, shipped):
+        with open(ours, "rb") as a, open(theirs, "rb") as b:
+            text = a.read()
+            assert text == b.read()
+        nodes = [line for line in text.decode().splitlines() if line.startswith("node ")]
+        assert nodes and all(map(graph._NODE_LINE, nodes)), ours

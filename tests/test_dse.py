@@ -116,6 +116,29 @@ def test_unsupported_workload_marks_infeasible():
     assert "tiny" in points[0].note
 
 
+def test_non_finite_latency_marks_infeasible(tmp_path, capsys):
+    # FREQ=1e-310 overflows every layer's latency to inf: that point is
+    # infeasible with network_perf's message, and the sweep goes on.
+    from convaccel.config import save_config
+    from convaccel.graph import save_network
+
+    points = enumerate_points(_spec(axes={"FREQ": (1e-310, 100.0)}))
+    assert [p.feasible for p in points] == [False, True]
+    assert points[0].note.startswith("tiny: latency is not finite: conv inf ms at FREQ=1e-310")
+    assert "latency:tiny" not in points[0].metrics
+
+    save_config(wide_open_config(), tmp_path / "base.cfg")
+    save_network(_tiny_net(), tmp_path / "tiny.net")
+    sweep = tmp_path / "s.sw"
+    sweep.write_text("base base.cfg\nworkload tiny.net\naxis FREQ 1e-310 100\n")
+    csv = tmp_path / "s.csv"
+    assert main(["sweep", "--sweep", str(sweep), "--csv", str(csv)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("2 points, 1 feasible, 1 on the Pareto front\n")
+    assert [row.split(",")[-2:] for row in csv.read_text().splitlines()[1:]] == [
+        ["0", "0"], ["1", "1"],
+    ]
+
+
 def test_cap_enforced():
     spec = _spec(axes={"FREQ": tuple(float(f) for f in range(100, 160))}, cap=10)
     with pytest.raises(SweepCapError):

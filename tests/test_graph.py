@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_bank, random_instance, random_scheme, random_tensor, seeded, wide_open_config
 from convaccel import (
@@ -413,6 +415,123 @@ def test_repeated_fields_parse_as_written(tmp_path):
     assert again.conv_columns.values.tolist() == net.conv_columns.values.tolist()
 
 
+def _records(lines, pattern=True):
+    """parse_network's node records of ``lines`` after the headers, before any shape check.
+
+    With ``pattern=False`` the node-line pattern never matches, so every line
+    takes the general line parser.
+    """
+    from convaccel import graph
+
+    with pytest.MonkeyPatch.context() as m:
+        numbered = list(enumerate(_HEADER.splitlines() + lines, start=1))
+        m.setattr(graph, "text_lines", lambda path: numbered)
+        m.setattr(graph.NetworkGraph, "from_records", classmethod(lambda cls, *args: args[3]))
+        if not pattern:
+            m.setattr(graph, "_NODE_LINE", lambda line: None)
+        return parse_network("n.net")
+
+
+_TOKEN = st.text(st.characters(exclude_categories=("Z", "C"), exclude_characters="#"),
+                 min_size=1, max_size=5)
+_NAT = st.from_regex(r"[0-9]{1,4}", fullmatch=True)
+_INT = st.from_regex(r"-?[0-9]{1,3}", fullmatch=True)
+_INPUTS = st.lists(st.one_of(_TOKEN, st.just("")), min_size=1, max_size=4).map(",".join).filter(bool)
+
+
+@st.composite
+def _canonical_node_line(draw):
+    """A node line as save_network spells it, with any values the pattern admits."""
+    kind = draw(st.sampled_from(["conv", "fully_connected", "concat", "global_avg_pool", "softmax"]))
+    fields = ""
+    if kind == "conv":
+        f, s, p, co = (draw(_NAT) for _ in range(4))
+        relu, pool = draw(st.sampled_from("01")), draw(st.sampled_from(["none", "2x2s2", "3x3s2"]))
+        fo, fp, fb = (draw(_INT) for _ in range(3))
+        fields = (f" filter={f} stride={s} pad={p} co={co} relu={relu} pool={pool}"
+                  f" fo={fo} fp={fp} fb={fb} params={draw(_TOKEN)}")
+    elif kind == "fully_connected":
+        fields = f" units={draw(_NAT)} params={draw(_TOKEN)}"
+    return f"node {draw(_TOKEN)} {kind}{fields} inputs={draw(_INPUTS)}"
+
+
+@given(st.lists(_canonical_node_line(), min_size=1, max_size=6))
+@example([
+    "node x conv filter=3 stride=2 pad=0 co=8 relu=0 pool=3x3s2 fo=-1 fp=-8 fb=15"
+    " params=x.qfb inputs=a,,b",
+    "node f fully_connected units=10 params=f.qfb inputs=x",
+    "node g softmax inputs=f,",
+])
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_node_line_pattern_gives_the_line_parser_records(lines):
+    from convaccel import graph
+
+    assert all(graph._NODE_LINE(line) for line in lines)
+    fast, general = _records(lines), _records(lines, pattern=False)
+    # repr tells a bool relu from an int, which == does not.
+    assert repr(fast) == repr(general)
+
+
+@pytest.mark.parametrize("name", ["peleenet", "squeezenet_v11", "vgg16", "zynqnet"])
+def test_shipped_networks_parse_alike_with_and_without_the_pattern(monkeypatch, data_dir, name):
+    from convaccel import graph
+
+    path = os.path.join(data_dir, "networks", f"{name}.net")
+    fast = parse_network(path)
+    monkeypatch.setattr(graph, "_NODE_LINE", lambda line: None)
+    general = parse_network(path)
+    assert repr(fast._records) == repr(general._records)
+    assert fast.conv_columns.node_ids == general.conv_columns.node_ids
+    assert fast.conv_columns.values.tolist() == general.conv_columns.values.tolist()
+    assert fast.host_nodes == general.host_nodes
+
+
+_CANONICAL_CONV = ("node a conv filter=3 stride=1 pad=1 co=4 relu=1 pool=none fo=4 fp=5 fb=6"
+                   " params=a.qfb inputs=input")
+_CANONICAL_RECORD = ("a", "conv", ("input",), (3, 1, 1, 4, True, None, 4, 5, 6), "a.qfb", False)
+
+
+@pytest.mark.parametrize(
+    "line, record",
+    [
+        (_CANONICAL_CONV.replace("filter=3 stride=1", "stride=1 filter=3"), _CANONICAL_RECORD),
+        (_CANONICAL_CONV.replace("co=4", " co=4"), _CANONICAL_RECORD),
+        (_CANONICAL_CONV.replace(" co=4", "\tco=4"), _CANONICAL_RECORD),
+        (_CANONICAL_CONV + " emit=1", _CANONICAL_RECORD[:5] + (True,)),
+        (_CANONICAL_CONV.replace("filter=3", "filter=+3"), _CANONICAL_RECORD),
+        (_CANONICAL_CONV.replace("filter=3", "filter=٣"), _CANONICAL_RECORD),
+        (_CANONICAL_CONV.replace("filter=3", "filter=03"), _CANONICAL_RECORD),
+        (_CANONICAL_CONV.replace(" params=a.qfb", ""), _CANONICAL_RECORD[:4] + (None, False)),
+    ],
+    ids=["reordered", "double_space", "tab", "emit", "plus", "arabic_indic_digit",
+         "leading_zero", "no_params"],
+)
+def test_other_spellings_of_a_node_line_parse_as_written(tmp_path, line, record):
+    from convaccel import graph
+
+    assert (graph._NODE_LINE(line) is None) == ("filter=03" not in line)
+    path = tmp_path / "net.net"
+    path.write_text(_HEADER + line + "\n", encoding="utf-8")
+    assert repr(parse_network(str(path))._records) == repr([record])
+    assert repr(_records([line], pattern=False)) == repr([record])
+
+
+@pytest.mark.parametrize("key", ["filter", "stride", "pad", "co", "fo", "fp", "fb", "units"])
+def test_a_value_past_the_int_digit_limit_is_a_bad_integer_both_ways(tmp_path, key):
+    # int() refuses more than 4300 digits; such a value takes the line
+    # parser, whose error names the field.
+    fc = "node a fully_connected units=3 params=a.qfb inputs=input"
+    line = (fc if key == "units" else _CANONICAL_CONV).replace(f" {key}=", f" {key}={'9' * 5000}")
+    path = tmp_path / "net.net"
+    path.write_text(_HEADER + line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as fast:
+        parse_network(str(path))
+    assert str(fast.value) == f"{path}:4: bad integer for {key}"
+    with pytest.raises(ParseError) as general:
+        _records([line], pattern=False)
+    assert str(general.value) == f"n.net:4: bad integer for {key}"
+
+
 def _count_node_objects(monkeypatch):
     """A list that gets the class name of every ConvNode, HostNode and ShapedNode built."""
     from convaccel import graph
@@ -486,8 +605,10 @@ def test_failing_config_builds_no_node_objects(
 
 # Python function calls (sys.setprofile "call" events) in one parse of
 # peleenet.net: 2375 with a node object per line, 696 when this guard was
-# set.  A per-node object or call that creeps back in shows here first.
-PELEENET_PARSE_CALLS = 696
+# set, 466 once every shipped node line is read by the node-line pattern.
+# A per-node object or call that creeps back in, or a shipped line that
+# falls back to the line parser, shows here first.
+PELEENET_PARSE_CALLS = 466
 
 
 def test_parse_call_count_stays_low(data_dir):
