@@ -156,8 +156,9 @@ def cmd_estimate(args) -> int:
             print(f"{r.node_id}: {r.detail}")
         return EXIT_VALIDATION
     report = network_perf(net, cfg, calib)
+    resources = estimate_resources(cfg, calib)
     print("\n".join(_perf_lines(report)))
-    print("\n".join(_resource_lines(estimate_resources(cfg, calib))))
+    print("\n".join(_resource_lines(resources)))
     return EXIT_OK
 
 

@@ -77,8 +77,12 @@ class DesignPoint:
 
 
 def _evaluate(cfg: AccelConfig, spec: SweepSpec, calib: Calibration, workloads):
-    """Metrics dict plus problem list for one valid config; ``workloads``: (net, metric key)."""
-    resources = estimate_resources(cfg, calib)
+    """Metrics dict (None when the power is not finite) plus problem list for
+    one valid config; ``workloads``: (net, metric key)."""
+    try:
+        resources = estimate_resources(cfg, calib)
+    except ValidationError as exc:  # a power that overflows
+        return None, [str(exc)]
     metrics = {"dsp": resources.dsp, "bram": resources.bram_bytes, "power": resources.power_w}
     problems = []
     max_ms = spec.constraints.get("max_latency_ms")

@@ -3,22 +3,49 @@
 One accelerator invocation computes MPOOL(ReLU(CONV(ia, weights, bias)))
 with the ReLU and MPOOL stages optional.  The hardware walks output
 channels in tiles of OCP and input channels in tiles of ICP; integer
-addition is associative, so tiling never changes results and the model
-computes each convolution as f*f matrix products through BLAS, one per
-filter tap, added into a float64 accumulator.
+addition is associative, so tiling never changes results.  The model
+lowers each convolution to matrix products through BLAS (im2col, as in
+Chellapilla, Puri & Simard 2006): the f*f filter taps, in (fy, fx) order,
+are taken in groups of t consecutive taps; a group's shifted windows are
+gathered side by side into one (rows * wo, t * ci) operand and multiplied
+by the group's t * ci weight rows in one GEMM, whose result goes into a
+float64 accumulator: the first group's is stored there, and the later
+groups' are added to it.
 
-Both steps are exact.  Every int8 product satisfies |w*a| <= 2**14, so
-a tap's product sums ci of them and every partial sum, in whatever order
-and with or without FMA, is an integer of magnitude at most ci * 2**14.
-float32 holds every integer up to 2**24, so conv_exec runs the tap GEMMs
-in float32 when ci <= 1024 (ci * 2**14 <= 2**24) and in float64, exact
-up to 2**53, above that.  The choice is made from the bank in each call,
+Both steps are exact.  Every int8 product satisfies |w*a| <= 2**14, so a
+group's GEMM sums t * ci of them and every partial sum, in whatever order
+and with or without FMA, is an integer of magnitude at most t*ci * 2**14.
+float32 holds every integer up to 2**24, so float32 is exact while
+t * ci <= F32_EXACT_CI = 1024.  t is at most GROUP_DEPTH // ci, and at
+least 1, so with GROUP_DEPTH <= F32_EXACT_CI every group meets that bound
+whenever ci <= 1024; conv_exec then runs float32, and float64, exact up
+to 2**53, above that.  The choice is made from the bank in each call,
 not taken from validate's budgets, because conv_exec is public and runs
-whatever layer it is given.  The accumulator adds the f*f tap results in
+whatever layer it is given.  The accumulator adds the group results in
 float64; each partial sum is at most K * 2**14 with K = f*f*ci, exact
 while K < 2**39, and validate caps K at the config's
-FILTERxFILTERxCHIN_MAX (4608 in conf6).  The taps share one product
-buffer.
+FILTERxFILTERxCHIN_MAX (4608 in conf6).
+
+Two caps shape the loop; both are speed or memory choices, measured on
+a 2-core Xeon VM with OpenBLAS 0.3.31 on one thread, and neither affects
+exactness.
+- GROUP_DEPTH = 512 bounds t * ci.  An sgemm of M = 16 rows and N = 64
+  columns took 58 us at K = 1024 against 27 us for two at K = 512.
+  Layers with ci > 512 therefore run one GEMM per tap; smaller ci gather
+  several taps, up to all nine of a 3x3 filter when ci <= 56.
+- BLOCK_BYTES bounds the gathered operand: output rows are taken in
+  blocks whose operand fills at most BLOCK_BYTES, and the GEMM results
+  go through a buffer of one block.  Beyond the padded input and the
+  accumulator, a call holds BLOCK_BYTES plus one block's products,
+  whatever the input size; all but the accumulator is freed before the
+  rescale.
+  8 MiB keeps each layer of vgg16 at 64x64 input in one block (conv1_2
+  gathers exactly 8 MiB).  On a 224x224x64 -> 64 3x3 layer the time was
+  flat from 0.5 to 8 MiB blocks, and conv_exec's tracemalloc peak fell
+  from 80.7 MB, with one GEMM per tap over the whole image, to 54.7 MB.
+A group of one tap is not gathered: the GEMM reads its window, reshaped.
+For a 1x1 stride-1 window that is a view of the padded input, so nothing
+is copied.
 
 The epilogue stays exact in float64 too.  quant.rescale_block takes the
 accumulator as it is, without an int64 copy: once its first range check
@@ -46,8 +73,14 @@ from .errors import ConfigTooSmallError, ShapeError
 from .quant import DfpScheme, rescale_block
 from .tensors import QFilterBank, QTensor3
 
-# Largest ci whose tap GEMM runs in float32: ci * 2**14 <= 2**24.
+# Largest t * ci, and so largest ci, whose GEMM runs in float32:
+# t * ci * 2**14 <= 2**24.
 F32_EXACT_CI = 1024
+# Largest t * ci of a group of t taps in one GEMM (a speed cap); at most
+# F32_EXACT_CI, so that float32 group sums stay exact.
+GROUP_DEPTH = 512
+# Largest bytes of the gathered (rows * wo, t * ci) operand of one row block.
+BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -122,24 +155,46 @@ def conv_exec(ia: QTensor3, bank: QFilterBank, spec: LayerSpec) -> QTensor3:
     if bank.fh != spec.filter:
         raise ShapeError(f"bank filter {bank.fh}x{bank.fw}, spec wants {spec.filter}")
 
+    ho, wo = conv_out_dims(ia.height, ia.width, spec)
+    acc = _mac_sums(ia, bank, spec, ho, wo)
+    out = rescale_block(acc, spec.scheme, bank.biases, relu=spec.relu)
+    return QTensor3(ho, wo, spec.co, out.reshape(-1), spec.scheme.output_frac)
+
+
+def _mac_sums(ia: QTensor3, bank: QFilterBank, spec: LayerSpec, ho: int, wo: int):
+    """The (ho * wo, co) float64 MAC sums: one GEMM per tap group and row block;
+    each block's first group is stored, the later ones added."""
     h, x, ci = ia.geom
     co, f, s, p = spec.co, spec.filter, spec.stride, spec.padding
-    ho, wo = conv_out_dims(h, x, spec)
-
     gemm = np.float32 if ci <= F32_EXACT_CI else np.float64
     padded = np.zeros((h + 2 * p, x + 2 * p, ci), dtype=gemm)
     padded[p : p + h, p : p + x] = ia.as_3d()
-    taps = bank.as_4d().transpose(1, 2, 3, 0).astype(gemm)  # (f, f, ci, co)
+    weights = bank.as_4d().reshape(co, f * f * ci).T.astype(gemm)  # row tap * ci + channel
+    t = max(1, min(f * f, GROUP_DEPTH // ci))  # taps per GEMM
+    rows = max(1, min(ho, BLOCK_BYTES // (wo * t * ci * padded.itemsize)))
+    taps = [divmod(tap, f) for tap in range(f * f)]
 
-    acc = np.zeros((ho * wo, co))
-    product = np.empty((ho * wo, co), dtype=gemm)
-    for fy in range(f):
-        for fx in range(f):
-            window = padded[fy : fy + s * ho : s, fx : fx + s * wo : s]
-            acc += np.matmul(window.reshape(ho * wo, ci), taps[fy, fx], out=product)
-
-    out = rescale_block(acc, spec.scheme, bank.biases, relu=spec.relu)
-    return QTensor3(ho, wo, co, out.reshape(-1), spec.scheme.output_frac)
+    acc = np.empty((ho * wo, co))
+    cols = np.empty(rows * wo * t * ci if t > 1 else 0, dtype=gemm)
+    product = np.empty((rows * wo, co), dtype=gemm)
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        n = (r1 - r0) * wo
+        for g0 in range(0, f * f, t):
+            group = taps[g0 : g0 + t]
+            k = len(group) * ci
+            windows = [padded[fy + s * r0 : fy + s * r1 : s, fx : fx + s * wo : s] for fy, fx in group]
+            if len(windows) == 1:  # a view when the window is contiguous (1x1, stride 1)
+                lhs = windows[0].reshape(n, ci)
+            else:
+                lhs = np.concatenate(windows, axis=2, out=cols[: n * k].reshape(r1 - r0, wo, k))
+                lhs = lhs.reshape(n, k)
+            sums = np.matmul(lhs, weights[g0 * ci : g0 * ci + k], out=product[:n])
+            if g0:
+                acc[r0 * wo : r1 * wo] += sums
+            else:
+                acc[r0 * wo : r1 * wo] = sums
+    return acc
 
 
 def mpool_exec(t: QTensor3, window: int) -> QTensor3:

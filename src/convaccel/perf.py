@@ -328,7 +328,16 @@ def network_perf(
 def estimate_resources(
     cfg: AccelConfig, calib: Calibration = DEFAULT_CALIBRATION
 ) -> ResourceReport:
-    """DSP count, on-chip memory bytes, and power of a configuration."""
+    """DSP count, on-chip memory bytes, and power of a configuration.
+
+    Raises ValidationError when the power is not finite, as a huge FREQ or
+    power calibration term can make it.
+    """
     dsp = cfg.pe_dsp * -(-cfg.icp // 2) + calib.c_dsp
     power = calib.p0_w + calib.power_slope_w_per_100mhz * (cfg.freq_mhz / 100.0)
+    if not math.isfinite(power):
+        raise ValidationError(
+            f"power is not finite: {power:g} W at FREQ={cfg.freq_mhz:g}, p0_w={calib.p0_w:g}, "
+            f"power_slope_w_per_100mhz={calib.power_slope_w_per_100mhz:g}"
+        )
     return ResourceReport(dsp, cfg.ocm_bytes, power)

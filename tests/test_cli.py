@@ -303,6 +303,27 @@ def test_estimate_non_finite_latency_is_validation_error(tmp_path, capsys, data_
     assert err == f"error: {name}: latency is not finite: {detail}\n"
 
 
+@pytest.mark.parametrize(
+    "cal, detail",
+    [
+        ("power_slope_w_per_100mhz=1e308\n", "inf W at FREQ=300, p0_w=1.892, power_slope_w_per_100mhz=1e+308"),
+        ("p0_w=-1e308\npower_slope_w_per_100mhz=-1e308\n",
+         "-inf W at FREQ=300, p0_w=-1e+308, power_slope_w_per_100mhz=-1e+308"),
+    ],
+)
+def test_estimate_non_finite_power_is_validation_error(tmp_path, capsys, data_dir, cal, detail):
+    # Finite calibration terms whose power overflows at conf6's FREQ 300
+    # exit 3 naming FREQ and both terms, before any report line is printed.
+    (tmp_path / "c.cal").write_text(cal)
+    argv = ["estimate", "--net", os.path.join(data_dir, "networks", "squeezenet_v11.net"),
+            "--config", os.path.join(data_dir, "configs", "conf6.cfg"),
+            "--calibration", str(tmp_path / "c.cal")]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: power is not finite: {detail}\n"
+
+
 def test_run_non_finite_latency_is_validation_error_and_writes_nothing(tmp_path, capsys):
     rng = seeded(421)
     ia, bank, spec = random_instance(rng, max_hw=5, max_ch=5)

@@ -139,6 +139,37 @@ def test_non_finite_latency_marks_infeasible(tmp_path, capsys):
     ]
 
 
+def test_non_finite_power_marks_infeasible(tmp_path, capsys):
+    # A finite slope of 1e308 overflows the power at FREQ=300 (3 * 1e308) but
+    # not at FREQ=100: that point is infeasible with the message as its note,
+    # and its CSV row has no metric.
+    from convaccel.config import Calibration, save_config
+    from convaccel.graph import save_network
+
+    calib = Calibration(power_slope_w_per_100mhz=1e308)
+    points = enumerate_points(_spec(axes={"FREQ": (300.0, 100.0)}), calib)
+    assert [p.feasible for p in points] == [False, True]
+    assert points[0].metrics is None
+    assert points[0].note == (
+        "power is not finite: inf W at FREQ=300, p0_w=1.892, power_slope_w_per_100mhz=1e+308"
+    )
+
+    save_config(wide_open_config(), tmp_path / "base.cfg")
+    save_network(_tiny_net(), tmp_path / "tiny.net")
+    sweep = tmp_path / "s.sw"
+    sweep.write_text("base base.cfg\nworkload tiny.net\naxis FREQ 300 100\n")
+    (tmp_path / "c.cal").write_text("power_slope_w_per_100mhz=1e308\n")
+    csv = tmp_path / "s.csv"
+    argv = ["sweep", "--sweep", str(sweep), "--csv", str(csv), "--calibration", str(tmp_path / "c.cal")]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("2 points, 1 feasible, 1 on the Pareto front\n")
+    assert "inf" not in out
+    rows = csv.read_text().splitlines()[1:]
+    assert rows[0].endswith(",,,,,0,0") and rows[1].endswith(",1,1")
+    assert "inf" not in rows[1]
+
+
 def test_cap_enforced():
     spec = _spec(axes={"FREQ": tuple(float(f) for f in range(100, 160))}, cap=10)
     with pytest.raises(SweepCapError):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from convaccel import (
     mpool_exec,
     plan_split,
 )
-from convaccel.engine import F32_EXACT_CI, conv_out_dims, pool_out_dims
+from convaccel import engine
+from convaccel.engine import F32_EXACT_CI, GROUP_DEPTH, conv_out_dims, pool_out_dims
 from convaccel.errors import ConfigTooSmallError, ShapeError
 from reference import check_plan, conv_ref, layer_ref, pool_ref, rescale_ref
 
@@ -196,6 +198,102 @@ def test_conv_cancelling_taps_at_float32_bound(ci):
 def test_conv_tap_sums_near_float32_bound(ci, a, w, tail_a, tail_w):
     ia, bank, spec = _tap_pair_case(ci, a, w, tail_a, tail_w)
     assert list(conv_exec(ia, bank, spec).values) == conv_ref(ia, bank, spec)
+
+
+def _group_edge_case(ci):
+    """A 3x3 valid convolution to one output pixel, the tap-group counterpart of
+    _tap_pair_case: in (tap, channel) order its first n products are each +2**14,
+    the next is 1, and every other is 0.
+
+    n = min(1024, (9*ci - 1) rounded down to a multiple of 8), so the sum is
+    n * 2**14 + 1; for ci >= 114 that is 2**24 + 1, which float32 cannot hold.
+    A float32 GEMM group that held all n + 1 products, one tap or one channel
+    more than F32_EXACT_CI allows, would return 2**24.  The bias, -n/8 shifted
+    left by 17, brings the exact sum to 1 under an unshifted accumulator.
+    """
+    n = min(1024, (9 * ci - 1) // 8 * 8)
+    acts = np.zeros(9 * ci, dtype=np.int8)
+    weights = np.zeros(9 * ci, dtype=np.int8)
+    acts[:n] = weights[:n] = -128
+    acts[n] = weights[n] = 1
+    scheme = DfpScheme(7, 8, -2, 15)  # accumulator shift 0, bias shift -17
+    spec = LayerSpec(3, 1, 0, 1, False, None, scheme)
+    return QTensor3(3, 3, ci, acts, 7), QFilterBank(1, 3, 3, ci, weights, [-n // 8], 8, -2), spec
+
+
+def test_group_depth_keeps_float32_groups_exact():
+    assert GROUP_DEPTH <= F32_EXACT_CI
+
+
+# Both sides of each ci at which depth // ci, the taps per group, changes:
+# at the shipped depth and at F32_EXACT_CI, where exactness is what binds.
+GROUP_EDGE_CI = sorted(
+    {c for d in (GROUP_DEPTH, F32_EXACT_CI) for t in range(1, 10) for c in (d // t, d // t + 1)}
+)
+
+
+@pytest.mark.parametrize("depth", [GROUP_DEPTH, F32_EXACT_CI])
+@pytest.mark.parametrize("ci", GROUP_EDGE_CI)
+def test_conv_group_sums_at_depth_breakpoints(monkeypatch, depth, ci):
+    monkeypatch.setattr(engine, "GROUP_DEPTH", depth)
+    ia, bank, spec = _group_edge_case(ci)
+    assert list(conv_exec(ia, bank, spec).values) == conv_ref(ia, bank, spec) == [1]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_conv_tap_groups_and_row_blocks_vs_oracle(data):
+    # GROUP_DEPTH and BLOCK_BYTES are set so that each GEMM takes exactly t
+    # taps (the last group fewer when t does not divide f*f) and each block
+    # `rows` output rows, with ho not a multiple of rows: every case runs in
+    # several blocks, the last one short.
+    f = data.draw(st.sampled_from((1, 3)), "f")
+    p = data.draw(st.sampled_from((0, 1)), "p") if f == 3 else 0
+    s = data.draw(st.sampled_from((1, 2)), "s")
+    ci = data.draw(st.integers(1, 6), "ci")
+    co = data.draw(st.integers(1, 4), "co")
+    t = data.draw(st.integers(1, f * f), "t")
+    rows = data.draw(st.integers(2, 3), "rows")
+    ho = data.draw(st.integers(rows + 1, 8).filter(lambda v: v % rows), "ho")
+    h = (ho - 1) * s + f - 2 * p + data.draw(st.integers(0, s - 1), "h extra")
+    x = data.draw(st.sampled_from([v for v in (1, 3, 5, 7, 9) if v + 2 * p >= f]), "x")
+    wo = (x + 2 * p - f) // s + 1
+    scheme = DfpScheme(4, 5, 5, data.draw(st.integers(0, 9), "fo"))
+    spec = LayerSpec(f, s, p, co, data.draw(st.booleans(), "relu"), None, scheme)
+
+    def int8s(n):
+        return data.draw(st.lists(st.integers(-128, 127), min_size=n, max_size=n))
+
+    ia = QTensor3(h, x, ci, int8s(h * x * ci), 4)
+    bank = QFilterBank(co, f, f, ci, int8s(co * f * f * ci), int8s(co), 5, 5)
+    assert conv_out_dims(h, x, spec) == (ho, wo)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "GROUP_DEPTH", t * ci)
+        mp.setattr(engine, "BLOCK_BYTES", rows * wo * t * ci * 4)
+        got = list(conv_exec(ia, bank, spec).values)
+    assert got == conv_ref(ia, bank, spec)
+
+
+# vgg16 conv1_2 at the shipped 224x224 input.  The loop before tap groups, one
+# float32 GEMM per tap over the whole image, peaked at 80,728,016 bytes under
+# tracemalloc (this call, NumPy 2.4); the row-blocked tap groups must not
+# exceed it.
+PEAK_BYTES_224 = 80_728_016
+
+
+def test_conv_exec_peak_memory_on_a_224_layer():
+    rng = np.random.default_rng(0)
+    ia = QTensor3(224, 224, 64, rng.integers(-128, 128, 224 * 224 * 64).astype(np.int8), 7)
+    weights = rng.integers(-128, 128, 64 * 9 * 64).astype(np.int8)
+    bank = QFilterBank(64, 3, 3, 64, weights, rng.integers(-128, 128, 64), 7, 7)
+    spec = LayerSpec(3, 1, 1, 64, True, None, DfpScheme(7, 7, 7, -3))
+    tracemalloc.start()
+    try:
+        conv_exec(ia, bank, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BYTES_224
 
 
 def test_conv_overflow_diagnostic():
