@@ -1,10 +1,13 @@
 """Command-line interface: quantize, validate, run, estimate, sweep.
 
-Exit codes: 0 success, 2 parse/format error, 3 validation error (also a
-run whose accumulator leaves the 32-bit range, and a predicted latency
-that is not finite), 4 load error (missing, unreadable or mismatched
-artifact, an output that cannot be written, or quantize data whose
-exponent leaves the scheme window), 5 internal error.
+Exit codes: 0 success, 2 parse/format error (also an integer at 2**63:
+a config or calibration field, a network's cost term or host units), 3
+validation error (also a run whose accumulator leaves the 32-bit range,
+a latency or power that is not finite, and calibration terms that take
+a network's cycle bound to 2**63), 4 load error (missing, unreadable or
+mismatched artifact, an output that cannot be written, or quantize data
+that is not finite or whose exponent leaves the scheme window), 5
+internal error.
 A reader that closes stdout early (``convaccel estimate ... | head``)
 ends the command quietly with exit 0.
 All reports are deterministic: fixed float precision, no timestamps.

@@ -56,6 +56,9 @@ class AccelConfig:
     name: str = ""
 
     def __post_init__(self):
+        for key, attr in CONFIG_KEYS.items():  # the cost model's int64 domain
+            if key != "FREQ" and getattr(self, attr) >= 2**63:
+                raise ValueError(f"{key} must be below 2**63")
         if not (math.isfinite(self.freq_mhz) and self.freq_mhz > 0):
             raise ValueError(f"FREQ must be positive and finite, got {self.freq_mhz}")
         for key in ("apack", "ppack", "icp", "ocp"):
@@ -135,6 +138,8 @@ class Calibration:
             value = getattr(self, f.name)
             if f.type == "int" and value < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
+            if f.type == "int" and value >= 2**63:
+                raise ValueError(f"{f.name} must be below 2**63")
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         if self.host_ns_per_unit < 0:

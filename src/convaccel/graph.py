@@ -264,11 +264,14 @@ class NetworkGraph:
                 in_fracs = [frac[r] for r in inputs]
                 out_geom, out_frac = _host_shape(node_id, kind, attrs, in_geoms, in_fracs)
                 (h, x, c), (oh, ox, oc) = in_geoms[0], out_geom
-                host.append((node_id, kind, perf.host_units(kind, h * x * c, oh * ox * oc)))
+                units = perf.host_units(kind, h * x * c, oh * ox * oc)
+                if units >= 2**63:
+                    raise ValidationError(f"{node_id}: {kind} host units reach 2**63")
+                host.append((node_id, kind, units))
             geom[node_id] = out_geom
             frac[node_id] = out_frac
         self._order, self._geom, self._frac = order, geom, frac
-        self.conv_columns = perf.ConvColumns(conv_ids, conv_terms)
+        self.conv_columns = perf.ConvColumns(conv_ids, conv_terms, self.name)
         self.host_nodes = tuple(host)
 
     @cached_property

@@ -28,27 +28,28 @@ layer; layer_cycles evaluates the formula over all columns at once.
 validate compares only each row's maximum with its budget; per-layer
 masks are formed only when a report's rows are read.
 
-Exactness.  The columns are int64 and NumPy int64 arithmetic wraps
-silently, so ConvColumns.select first checks in Python ints that no
-value can reach 2**63, and otherwise hands out the same columns as
-Python ints (dtype object), over which the same formula is exact.  For
-any valid configuration n <= Co, every group and the last one are at
-most Co, the OCP passes are at most Co and ceil(Ci/ICP) <= Ci, so every
-term and every partial product of a layer is at most
+Exactness.  The columns are int64, whose arithmetic wraps silently, so
+every operand is below 2**63, because each input is checked where it
+enters: AccelConfig and Calibration reject an integer field at 2**63,
+ConvColumns a layer term, the network parser a host node's units, and
+layer_cycles calibration terms that take the bound below to 2**63.  For
+any valid configuration n <= Co, every group that is multiplied (all
+when n > 1) and the last one are at most Co, the OCP passes are at most
+Co and ceil(Ci/ICP) <= Ci, so every term and every partial product of a
+layer is at most
 
   k_layer + Ho*Wo*Co*(F*F*Ci + k_pipe) + Co*H*X*Ci + Co*F*F*Ci + Co
   + pooled*Co + k_pool + post-pool elements
 
-with pooled the pooled cells Hp*Wp*window^2.  The check also covers
-every configuration integer, which enters the formula as an operand.
-The rows stacked below the terms (CI..WEIGHTS negated, a has-pool
-flag) follow the same rule; they, (n-1)*g - Co, (n-1)*ceil(g/OCP) and
-has_pool*k_pool are no larger in magnitude than the bound's terms.
-A layer's latency is total / (FREQ*1000): NumPy's int64 -> float64 and
-Python's int -> float conversion both round to nearest even, so the
-quotient is the same on either path.  Sums over layers are taken with
-builtin sum in layer order; np.sum would add pairwise and could round
-differently.
+with pooled the pooled cells Hp*Wp*window^2.  A configuration integer
+enters only as a divisor, a budget or through min(CHOUT_MAX, ...).  The
+rows stacked below the terms (CI..WEIGHTS negated, a has-pool flag),
+(n-1)*g - Co, (n-1)*ceil(g/OCP) and has_pool*k_pool are no larger in
+magnitude than the bound's terms.  Latencies are Python floats, total /
+(FREQ*1000) per layer and units * host_ns_per_unit / 1e6 per host node;
+no integer below 2**63 is too large for a float.  Sums over layers are
+taken with builtin sum in layer order; np.sum would add pairwise and
+could round differently.
 
 Resources: each DSP-mapped PE packs two multiplies per DSP block, so
 dsp = pe_dsp * ceil(ICP/2) + c_dsp.  BRAM is reported in bytes as the
@@ -179,22 +180,25 @@ class ConvColumns:
     """Configuration-independent integers of a network's convolution layers.
 
     ``values[ROW, i]`` is term ROW (the constants above) of the i-th
-    convolution in topological order, named ``node_ids[i]``: int64 when
-    every term fits, else Python ints (dtype object).  ``maxima[ROW]`` is
-    the row's largest term, a Python int (0 without convolutions).
+    convolution in topological order, named ``node_ids[i]``, as int64.
+    ``maxima[ROW]`` is the row's largest term, a Python int (0 without
+    convolutions).  Raises ValidationError naming the first layer with a
+    term that reaches 2**63.
     """
 
-    def __init__(self, node_ids, terms):
+    def __init__(self, node_ids, terms, network=""):
         """``terms``: each layer's column of terms (conv_terms), one after another."""
+        self.network = network
         self.node_ids = tuple(node_ids)
         try:
             values = np.array(terms, dtype=np.int64)
         except OverflowError:
-            values = np.array(terms, dtype=object)
+            i = next(i for i, t in enumerate(terms) if t >= 2**63) // N_TERMS
+            raise ValidationError(f"{self.node_ids[i]}: a cost term reaches 2**63") from None
         values = values.reshape(len(self.node_ids), N_TERMS).T
         self.maxima = m = values.max(axis=1).tolist() if self.node_ids else [0] * N_TERMS
         # A contiguous row per term: ufuncs over strided rows cost half as much again.
-        self._block = np.empty((_HAS_POOL + 1, len(self.node_ids)), dtype=values.dtype)
+        self._block = np.empty((_HAS_POOL + 1, len(self.node_ids)), dtype=np.int64)
         self.values = self._block[:N_TERMS]
         self.values[:] = values
         np.negative(values[CI : WEIGHTS + 1], out=self._block[_NEG:_HAS_POOL])
@@ -209,20 +213,6 @@ class ConvColumns:
         )
         self._pipe = max(m[PIXELS] * m[CO], 1)
 
-    def select(self, cfg: AccelConfig, calib: Calibration | None = None):
-        """The terms and stacked rows, as Python ints unless every value formed fits int64."""
-        bound = self._bound
-        if calib is not None:
-            bound += self._pipe * calib.k_pipe + calib.k_layer + calib.k_pool
-        biggest = max(
-            bound, cfg.icp, cfg.ocp, cfg.apack, cfg.ppack, cfg.chout_max,
-            cfg.chout_x_filter_x_filter_x_chin_max, cfg.win_x_chin_pad_max,
-            cfg.filter_x_filter_x_chin_max, cfg.pwin_x_pch_max, cfg.pch_max,
-        )
-        if biggest < 2**63 and self._block.dtype != object:
-            return self._block
-        return self._block.astype(object)
-
 
 def layer_cycles(
     cols: ConvColumns, cfg: AccelConfig, calib: Calibration = DEFAULT_CALIBRATION
@@ -230,10 +220,17 @@ def layer_cycles(
     """(compute, transfer_in, param, writeback, pool, restreams, total) arrays over the layers.
 
     See the module docstring for the compute sum and for exactness.
-    Raises ConfigTooSmallError, with split_groups' message, for the first
-    layer in order that does not fit even split.
+    Raises ValidationError when the calibration terms take the bound to
+    2**63, then ConfigTooSmallError, with split_groups' message, for the
+    first layer in order that does not fit even split.
     """
-    v = cols.select(cfg, calib)
+    k_pipe, k_layer, k_pool = calib.k_pipe, calib.k_layer, calib.k_pool
+    if cols._bound + cols._pipe * k_pipe + k_layer + k_pool >= 2**63:
+        raise ValidationError(
+            f"{cols.network}: cycle bound {cols._bound} + {cols._pipe}*k_pipe + k_layer + k_pool "
+            f"reaches 2**63 at k_pipe={k_pipe}, k_layer={k_layer}, k_pool={k_pool}"
+        )
+    v = cols._block
     per_out = v[PER_OUT]
     budget = cfg.chout_x_filter_x_filter_x_chin_max
     # The group min(CHOUT_MAX, budget // F*F*Ci) is below 1 exactly when
@@ -242,17 +239,17 @@ def layer_cycles(
         i = (per_out > budget).tolist().index(True)
         split_groups(int(v[CO][i]), int(per_out[i]), cfg)  # raises
     group = np.minimum(cfg.chout_max, budget // per_out)
-    divisors = np.array((cfg.icp, cfg.apack, cfg.apack, cfg.apack, cfg.ppack), dtype=v.dtype)
+    divisors = np.array((cfg.icp, cfg.apack, cfg.apack, cfg.apack, cfg.ppack), dtype=np.int64)
     ci_tiles, co_beats, in_beats, out_beats, w_beats = -(v[_NEG:_HAS_POOL] // divisors[:, None])
     neg_co = v[_NEG + CO - CI]
     n = -(neg_co // group)
     # (n-1)*ceil(group/OCP) + ceil(last/OCP), last = co - (n-1)*group
     n1, ocp = n - 1, cfg.ocp
     passes = -(n1 * (-group // ocp) + (n1 * group + neg_co) // ocp)
-    compute = v[PIXELS] * (passes * v[TAPS] * ci_tiles + n * calib.k_pipe) + calib.k_layer
+    compute = v[PIXELS] * (passes * v[TAPS] * ci_tiles + n * k_pipe) + k_layer
     transfer_in = n * in_beats
     param = w_beats + co_beats
-    pool = v[POOL_CELLS] * co_beats + v[_HAS_POOL] * calib.k_pool
+    pool = v[POOL_CELLS] * co_beats + v[_HAS_POOL] * k_pool
     total = np.maximum(np.maximum(compute, transfer_in), pool) + param + out_beats
     return compute, transfer_in, param, out_beats, pool, n, total
 
@@ -288,15 +285,6 @@ def host_units(kind: str, in_elems: int, out_elems: int) -> int:
     raise ValueError(f"unknown host op kind {kind!r}")
 
 
-def _terms_or_inf(terms):
-    """The float ``terms`` as a list, or [inf] when an int among them is too
-    large for a float; a float quotient or product that overflows is inf."""
-    try:
-        return list(terms)
-    except OverflowError:
-        return [math.inf]
-
-
 def network_perf(
     net, cfg: AccelConfig, calib: Calibration = DEFAULT_CALIBRATION
 ) -> PerfReport:
@@ -307,15 +295,15 @@ def network_perf(
     ``conv_columns`` (a ConvColumns over its convolutions in topological
     order) and ``host_nodes`` ((node_id, kind, units) per host node, in
     topological order); see the graph module.  Raises ValidationError when
-    the end-to-end latency is not finite, as a tiny FREQ, a huge
-    host_ns_per_unit or a total too large for a float can make it.
+    the end-to-end latency is not finite, as a tiny FREQ or a huge
+    host_ns_per_unit can make it.
     """
     cols = net.conv_columns
     cycles = layer_cycles(cols, cfg, calib)
     khz = cfg.freq_mhz * 1000.0
-    layer_ms = _terms_or_inf(c / khz for c in cycles[-1].tolist())
+    layer_ms = [c / khz for c in cycles[-1].tolist()]
     ns = calib.host_ns_per_unit
-    host_ms = _terms_or_inf(units * ns / 1e6 for _, _, units in net.host_nodes)
+    host_ms = [units * ns / 1e6 for _, _, units in net.host_nodes]
     report = PerfReport(net.name, cols.node_ids, cycles, layer_ms, net.host_nodes, host_ms)
     if not math.isfinite(report.end_to_end_ms):
         raise ValidationError(

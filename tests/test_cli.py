@@ -1,12 +1,14 @@
 import contextlib
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from convaccel import (
     save_bank,
     save_tensor,
 )
-from convaccel import cli, errors
+from convaccel import cli, errors, perf
 from convaccel.cli import EXIT_INTERNAL, EXIT_LOAD, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from convaccel.config import load_config, save_config
 from convaccel.quant import FRAC_MAX, FRAC_MIN, quantize
@@ -268,39 +270,45 @@ def test_run_accumulator_overflow_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: c: rescaled accumulator outside 32-bit range\n"
 
 
-@pytest.mark.parametrize("cause", ["FREQ", "host_ns_per_unit", "k_layer", "units"])
+@pytest.mark.parametrize(
+    "cause", ["FREQ", "host_ns_per_unit", "k_layer", "units", "units-zero-charge"]
+)
 def test_estimate_non_finite_latency_is_validation_error(tmp_path, capsys, data_dir, cause):
     # A FREQ this small overflows each layer's cycles / FREQ to inf, with no
     # NumPy warning (pytest turns one into an error); host_ns_per_unit this
     # large overflows each host node's charge.  A k_layer or a units value
-    # past the float range makes a total that no float holds.
+    # past 2**63 cannot be costed in int64: each is a parse error, naming
+    # the calibration field or the node, also when each unit is charged 0 ns.
     cfg = load_config(os.path.join(data_dir, "configs", "conf6.cfg"))
     net = os.path.join(data_dir, "networks", "squeezenet_v11.net")
-    name, huge = "squeezenet_v11", "1" + "0" * 400
+    huge, rc = "1" + "0" * 400, EXIT_VALIDATION
+    not_finite = "error: squeezenet_v11: latency is not finite: conv "
     if cause == "FREQ":
         cfg = replace(cfg, freq_mhz=1e-310)
-        detail = "conv inf ms at FREQ=1e-310, host 1.6477 ms at host_ns_per_unit=1.376"
+        want = not_finite + "inf ms at FREQ=1e-310, host 1.6477 ms at host_ns_per_unit=1.376\n"
     elif cause == "host_ns_per_unit":
         (tmp_path / "c.cal").write_text("host_ns_per_unit=1e308\n")
-        detail = "conv 6.88337 ms at FREQ=300, host inf ms at host_ns_per_unit=1e+308"
+        want = not_finite + "6.88337 ms at FREQ=300, host inf ms at host_ns_per_unit=1e+308\n"
     elif cause == "k_layer":
         (tmp_path / "c.cal").write_text(f"k_layer={huge}\n")
-        detail = "conv inf ms at FREQ=300, host 1.6477 ms at host_ns_per_unit=1.376"
+        rc, want = EXIT_PARSE, f"error: {tmp_path / 'c.cal'}:0: k_layer must be below 2**63\n"
     else:
-        net, name = str(tmp_path / "fc.net"), "fc"
+        net, rc = str(tmp_path / "fc.net"), EXIT_PARSE
         (tmp_path / "fc.net").write_text(
             f"network fc\ninput 2 2 1\ninput_frac 4\n"
             f"node f fully_connected units={huge} params=f.qfb inputs=input\n"
         )
-        detail = "conv 0 ms at FREQ=300, host inf ms at host_ns_per_unit=1.376"
+        if cause == "units-zero-charge":
+            (tmp_path / "c.cal").write_text("host_ns_per_unit=0\n")
+        want = f"error: {net}:0: f: fully_connected host units reach 2**63\n"
     save_config(cfg, tmp_path / "c.cfg")
     argv = ["estimate", "--net", net, "--config", str(tmp_path / "c.cfg")]
     if (tmp_path / "c.cal").exists():
         argv += ["--calibration", str(tmp_path / "c.cal")]
-    assert main(argv) == EXIT_VALIDATION
+    assert main(argv) == rc
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {name}: latency is not finite: {detail}\n"
+    assert err == want
 
 
 @pytest.mark.parametrize(
@@ -828,8 +836,10 @@ def test_binary_input_from_a_named_pipe(tmp_path, data_dir, case):
         assert (out / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
 
-# Cost-model inputs whose integers pass 2**63, each with the estimate report
-# the scalar Python-int model printed for it.
+# Cost-model inputs near and past 2**63.  A report that int64 can cost is
+# the one the scalar Python-int model printed for it; past the bound the
+# estimate exits with an error naming the key, or the network, the bound
+# and the calibration terms.
 _TINY_NET = """network tiny
 input 12 12 8
 input_frac 4
@@ -866,17 +876,14 @@ _OVERFLOW_CASES = {
         _TINY_NET,
         {"CHOUTxFILTERxFILTERxCHIN_MAX": 10**30},
         None,
-        "network tiny\n" + _HEADER
-        + "c1                         12416         144       219        108          1       12743     0.127\n"
-        + "c2                          7592         108       125        180          1        7897     0.079\n"
-        + _TINY_HOST
-        + "conv_total_ms 0.206\nhost_total_ms 0.003\nend_to_end_ms 0.209\n"
-        + "dsp 74\nbram_bytes 1000000000000000000000000089600\npower_w 2.692\n",
+        EXIT_PARSE,
+        "error: {cfg}:0: CHOUTxFILTERxFILTERxCHIN_MAX must be below 2**63\n",
     ),
     "k_layer-2**62": (
         _TINY_NET,
         {},
         f"k_layer={2**62}\n",
+        EXIT_OK,
         "network tiny\n" + _HEADER
         + "c1                  4611686018427393520         144       219        108          1"
         + "461168601842739384746116860184273.938\n"
@@ -892,33 +899,25 @@ _OVERFLOW_CASES = {
         _TINY_NET,
         {},
         f"k_layer={2**63 - 1}\n",
-        "network tiny\n" + _HEADER
-        + "c1                  9223372036854781423         144       219        108          1"
-        + "922337203685478175092233720368547.812\n"
-        + "c2                  9223372036854776599         108       125        180          1"
-        + "922337203685477690492233720368547.781\n"
-        + _TINY_HOST
-        + "conv_total_ms 184467440737095.594\nhost_total_ms 0.003\n"
-        + "end_to_end_ms 184467440737095.594\n"
-        + "dsp 74\nbram_bytes 384512\npower_w 2.692\n",
+        EXIT_VALIDATION,
+        "error: tiny: cycle bound 469768 + 5760*k_pipe + k_layer + k_pool reaches 2**63 "
+        f"at k_pipe=12, k_layer={2**63 - 1}, k_pool=16\n",
     ),
+    # The default calibration on a layer whose cycle total is about 8.3e19.
     "network-bound": (
         _HUGE_NET,
         _HUGE_BUDGETS,
         None,
-        "network huge\n" + _HEADER
-        + "c1                  8301372603141351694436028797018963968   "
-        + "471910436028797018963968          183049754828437200016830497548284371.875\n"
-        + "conv_total_ms 830497548284371.875\nhost_total_ms 0.000\n"
-        + "end_to_end_ms 830497548284371.875\n"
-        + "dsp 74\nbram_bytes 3383197278687232\npower_w 2.692\n",
+        EXIT_VALIDATION,
+        "error: huge: cycle bound 11807357359054909345792 + 1152921504606846976*k_pipe "
+        "+ k_layer + k_pool reaches 2**63 at k_pipe=12, k_layer=6800, k_pool=16\n",
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(_OVERFLOW_CASES))
 def test_estimate_past_int64_matches_python_int_model(tmp_path, capsys, data_dir, case):
-    net_text, overrides, calib_text, want = _OVERFLOW_CASES[case]
+    net_text, overrides, calib_text, rc, want = _OVERFLOW_CASES[case]
     net = tmp_path / "n.net"
     net.write_text(net_text)
     lines = []
@@ -933,10 +932,12 @@ def test_estimate_past_int64_matches_python_int_model(tmp_path, capsys, data_dir
         cal = tmp_path / "k.cal"
         cal.write_text(calib_text)
         argv += ["--calibration", str(cal)]
-    assert main(argv) == EXIT_OK
-    captured = capsys.readouterr()
-    assert captured.out == want
-    assert captured.err == ""
+    assert main(argv) == rc
+    out, err = capsys.readouterr()
+    if rc == EXIT_OK:
+        assert (out, err) == (want, "")
+    else:
+        assert (out, err) == ("", want.format(cfg=cfg))
 
 
 @pytest.fixture(scope="module")
@@ -1105,3 +1106,87 @@ def test_sweep_on_mutated_sweep_file_exits_cleanly(text_inputs, edits):
     rc, out = _assert_exits_cleanly(["sweep", "--sweep", str(path)])
     if not edits:
         assert rc == EXIT_OK and out.startswith("27 points")
+
+
+# Numeric extremes for the cost model: zero, a subnormal, near the float
+# maximum, around 2**63 and a 401-digit integer.  Each slot below takes one.
+_EXTREMES = st.one_of(
+    st.sampled_from(("0", "1e-310", "1e308", "1" + "0" * 400)),
+    st.integers(2**62, 2**64).map(str),
+)
+_EXTREME_NET = """network tiny
+input {H} {X} {C}
+input_frac 4
+node c1 conv filter=3 stride=1 pad=1 co={co1} relu=1 pool=2x2s2 fo=4 fp=4 fb=4 inputs=input
+node c2 conv filter=1 stride=1 pad=0 co={co2} relu=0 pool=none fo=4 fp=4 fb=4 inputs=c1
+node gap global_avg_pool inputs=c2
+node fc fully_connected units={units} inputs=gap
+node sm softmax inputs=fc
+"""
+# The slots of each file, with the values of _TINY_NET, conf1 and the
+# default calibration; a sweep slot is a point line's value or a constraint,
+# and a sweep has only the point and constraint lines an edit sets.
+_EXTREME_SLOTS = {
+    "net": dict(H=12, X=12, C=8, co1=24, co2=40, units=10),
+    "cfg": load_config(os.path.join(DATA_DIR, "configs", "conf1.cfg")).param_values(),
+    "cal": vars(convaccel.Calibration()),
+    "point": dict.fromkeys(convaccel.config.CONFIG_KEYS, None),
+    "constraint": dict.fromkeys(convaccel.dse.CONSTRAINT_KEYS, None),
+}
+_EXTREME_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(sorted((f, k) for f, slots in _EXTREME_SLOTS.items() for k in slots)),
+        _EXTREMES,
+    ),
+    min_size=1, max_size=2,
+)
+
+
+@given(st.sampled_from(("estimate", "validate", "sweep")), _EXTREME_EDITS)
+@example("sweep", [(("cal", "c_dsp"), "1" + "0" * 400)])  # a dsp metric too large for a float
+@example("estimate", [(("net", "H"), str(2**31)), (("net", "X"), str(2**31))])
+@example("estimate", [(("cal", "k_pipe"), str(2**62))])  # exit 3: the cycle bound
+@example("sweep", [(("cal", "k_pipe"), str(2**62))])  # every point infeasible
+@example("estimate", [(("cfg", "FREQ"), "1e-310")])  # exit 3: latency inf
+@example("sweep", [(("point", "FREQ"), "1e-310"), (("cal", "host_ns_per_unit"), "1e-310")])
+@example("estimate", [(("cal", "power_slope_w_per_100mhz"), "1e308")])  # power_w near 1e308
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_numeric_extremes_exit_cleanly_with_finite_reports(text_inputs, command, edits):
+    # At exit 0 no report or CSV holds inf or nan; anything else is a
+    # documented exit 2 or 3, never a traceback; every parsed network's cost
+    # columns are int64.
+    values = {f: dict(slots) for f, slots in _EXTREME_SLOTS.items()}
+    for (f, key), value in edits:
+        values[f][key] = value
+    d = text_inputs
+    (d / "x.net").write_text(_EXTREME_NET.format(**values["net"]))
+    (d / "x.cfg").write_text("".join(f"{k}={v}\n" for k, v in values["cfg"].items()))
+    (d / "x.cal").write_text("".join(f"{k}={v}\n" for k, v in values["cal"].items()))
+    lines = [f"point {k}={v}\n" for k, v in values["point"].items() if v is not None]
+    lines += [f"constraint {k} {v}\n" for k, v in values["constraint"].items() if v is not None]
+    (d / "x.sw").write_text(
+        "base x.cfg\nworkload x.net\naxis ICP 8 16\naxis FREQ 100 300\n" + "".join(lines)
+        + "objective latency dsp power bram\n"
+    )
+    if command == "sweep":
+        argv = ["sweep", "--sweep", str(d / "x.sw"), "--csv", str(d / "x.csv")]
+    else:
+        argv = [command, "--net", str(d / "x.net"), "--config", str(d / "x.cfg")]
+    if command != "validate":
+        argv += ["--calibration", str(d / "x.cal")]
+    (d / "x.csv").unlink(missing_ok=True)
+    built = []
+    init = perf.ConvColumns.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perf.ConvColumns, "__init__", recording)
+        rc, out = _assert_exits_cleanly(argv)
+    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION), out
+    assert all(cols.values.dtype == np.int64 for cols in built)
+    if rc == EXIT_OK:
+        texts = [out] + ([(d / "x.csv").read_text()] if command == "sweep" else [])
+        assert not any(re.search(r"(?i)\b(inf|nan)\b", t) for t in texts), edits

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import DATA_DIR
 from convaccel import load_calibration, load_config
-from convaccel.config import AccelConfig, Calibration
+from convaccel.config import CONFIG_KEYS, AccelConfig, Calibration
 from convaccel.errors import ParseError
 
 
@@ -56,3 +56,36 @@ def test_repeated_key_is_parse_error(tmp_path, loader, shipped, key, message):
     with pytest.raises(ParseError) as err:
         loader(str(path))
     assert str(err.value) == f"{path}:{len(lines) + 1}: {message}"
+
+
+_INT_KEYS = [key for key in CONFIG_KEYS if key != "FREQ"]
+
+
+@pytest.mark.parametrize("key", _INT_KEYS)
+def test_config_integer_at_2_63_is_rejected_naming_the_key(tmp_path, key):
+    # The cost model is int64 only.  2**63 is a power of two, so the check
+    # comes before the power-of-two and range checks for every key.
+    cfg = load_config(os.path.join(DATA_DIR, "configs", "conf6.cfg"))
+    params = {**cfg.param_values(), key: 2**63}
+    with pytest.raises(ValueError, match=rf"^{key} must be below 2\*\*63$"):
+        AccelConfig.from_params(params)
+    path = tmp_path / "big.cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in params.items()))
+    with pytest.raises(ParseError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}:0: {key} must be below 2**63"
+
+
+def test_config_budgets_just_below_2_63_are_accepted():
+    cfg = load_config(os.path.join(DATA_DIR, "configs", "conf6.cfg"))
+    budgets = ("WINxCHIN_PAD_MAX", "FILTERxFILTERxCHIN_MAX", "CHOUTxFILTERxFILTERxCHIN_MAX",
+               "CHOUT_MAX", "PWINxPCH_MAX", "PCH_MAX")
+    params = {**cfg.param_values(), **dict.fromkeys(budgets, 2**63 - 1), "ICP": 2**62}
+    assert AccelConfig.from_params(params).param_values() == params
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(Calibration) if f.type == "int"])
+def test_calibration_integer_at_2_63_is_rejected(field):
+    with pytest.raises(ValueError, match=rf"^{field} must be below 2\*\*63$"):
+        Calibration(**{field: 2**63})
+    assert getattr(Calibration(**{field: 2**63 - 1}), field) == 2**63 - 1

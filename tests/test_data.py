@@ -256,24 +256,29 @@ def test_calibration_script_rewrites_the_shipped_fit(tmp_path):
     assert round(float(mre), 1) == float(quoted)
 
 
-def test_network_script_rewrites_the_shipped_networks(tmp_path):
-    """build_networks.py, run on a copy of scripts/, writes every data/networks/*.net
-    byte for byte, and the node-line pattern reads each node line it writes."""
+@pytest.mark.parametrize(
+    "script, pattern",
+    [("build_networks.py", "networks/*.net"), ("build_configs.py", "configs/*.cfg")],
+)
+def test_data_script_rewrites_the_shipped_files(tmp_path, script, pattern):
+    """Each generator, run on a copy of scripts/, writes every shipped file it
+    makes byte for byte, and the node-line pattern reads each node line."""
     import shutil
 
     from convaccel import graph
 
     shutil.copytree(os.path.join(REPO_ROOT, "scripts"), tmp_path / "scripts")
     os.symlink(os.path.join(REPO_ROOT, "src"), tmp_path / "src")
-    script = tmp_path / "scripts" / "build_networks.py"
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    path = tmp_path / "scripts" / script
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    shipped = sorted(glob.glob(os.path.join(DATA_DIR, "networks", "*.net")))
-    written = sorted(glob.glob(str(tmp_path / "data" / "networks" / "*.net")))
-    assert list(map(os.path.basename, written)) == list(map(os.path.basename, shipped))
+    shipped = sorted(glob.glob(os.path.join(DATA_DIR, pattern)))
+    written = sorted(glob.glob(str(tmp_path / "data" / pattern)))
+    assert shipped and list(map(os.path.basename, written)) == list(map(os.path.basename, shipped))
     for ours, theirs in zip(written, shipped):
         with open(ours, "rb") as a, open(theirs, "rb") as b:
             text = a.read()
             assert text == b.read()
         nodes = [line for line in text.decode().splitlines() if line.startswith("node ")]
-        assert nodes and all(map(graph._NODE_LINE, nodes)), ours
+        assert all(map(graph._NODE_LINE, nodes)), ours
+        assert nodes or ours.endswith(".cfg"), ours

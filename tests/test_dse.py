@@ -139,6 +139,37 @@ def test_non_finite_latency_marks_infeasible(tmp_path, capsys):
     ]
 
 
+def test_integers_past_int64_mark_infeasible(tmp_path, capsys):
+    # A config integer at 2**63 and a calibration that takes the cycle bound
+    # to 2**63 each make a point infeasible with the message as its note.
+    from convaccel.config import Calibration, save_config
+    from convaccel.graph import save_network
+
+    points = enumerate_points(_spec(axes={"CHOUT_MAX": (2**63, 64)}))
+    assert [p.feasible for p in points] == [False, True]
+    assert points[0].metrics is None
+    assert points[0].note == "CHOUT_MAX must be below 2**63"
+
+    calib = Calibration(k_layer=2**63 - 1)
+    (point,) = enumerate_points(_spec(axes={"CHOUT_MAX": (64,)}), calib)
+    assert not point.feasible
+    assert point.note == (
+        "tiny: cycle bound 12104 + 288*k_pipe + k_layer + k_pool reaches 2**63 "
+        f"at k_pipe=12, k_layer={2**63 - 1}, k_pool=16"
+    )
+
+    save_config(wide_open_config(), tmp_path / "base.cfg")
+    save_network(_tiny_net(), tmp_path / "tiny.net")
+    sweep = tmp_path / "s.sw"
+    sweep.write_text(f"base base.cfg\nworkload tiny.net\naxis CHOUT_MAX {2**63} 64\n")
+    csv = tmp_path / "s.csv"
+    assert main(["sweep", "--sweep", str(sweep), "--csv", str(csv)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("2 points, 1 feasible, 1 on the Pareto front\n")
+    assert [row.split(",")[-2:] for row in csv.read_text().splitlines()[1:]] == [
+        ["0", "0"], ["1", "1"],
+    ]
+
+
 def test_non_finite_power_marks_infeasible(tmp_path, capsys):
     # A finite slope of 1e308 overflows the power at FREQ=300 (3 * 1e308) but
     # not at FREQ=100: that point is infeasible with the message as its note,

@@ -23,6 +23,7 @@ from convaccel import (
 from convaccel.engine import plan_split
 from convaccel.errors import LoadError, ParseError, ValidationError
 from convaccel.graph import ConvNode, HostNode, NetworkGraph, fc_block_rows, save_network
+from convaccel.perf import IN_ELEMS
 from reference import (
     FOLD_TAP_MAPS,
     fold_bank_ref,
@@ -250,6 +251,12 @@ def _conv(node_id, inputs, **fields):
 
 _FC = "node fc fully_connected units=4 inputs=input\n"
 
+# The cost model is int64 only.  Conv "a" over a 2**31 x 2**31 x 1 input
+# has terms of 2**62; its co=2 successor would have 2**63 output elements.
+_BIG = "network x\ninput 2147483648 2147483648 {c}\ninput_frac 4\n"
+_A = _conv("a", "input", filter=1, pad=0, co=1)
+_FC_UNITS_MAX = (2**63 - 1) // 7  # 2**63 - 1 = 7 * 1317624576693539401
+
 # One case per check of parse_network and NetworkGraph, and cases where two
 # checks fail at once and the earlier one must win.  The expected texts were
 # recorded from the node-object parser that the column parser replaced.
@@ -357,6 +364,15 @@ _PARSE_ERRORS = {
                       "fc: fully_connected needs units >= 1"),
     "softmax_arity": (_HEADER + _conv("a", "input") + "node s softmax inputs=a,input\n", 0,
                       "s: softmax takes one input"),
+    "conv_term_past_int64": (_BIG.format(c=4) + _conv("a", "input"), 0,
+                             "a: a cost term reaches 2**63"),
+    "second_conv_term_past_int64": (_BIG.format(c=1) + _A + _conv("b", "a", filter=1, pad=0, co=2),
+                                    0, "b: a cost term reaches 2**63"),
+    "gap_units_past_int64": (_BIG.format(c=2) + "node g global_avg_pool inputs=input\n", 0,
+                             "g: global_avg_pool host units reach 2**63"),
+    "fc_units_past_int64": ("network x\ninput 1 1 7\ninput_frac 4\n"
+                            f"node fc fully_connected units={_FC_UNITS_MAX + 1} inputs=input\n", 0,
+                            "fc: fully_connected host units reach 2**63"),
 }
 
 
@@ -368,6 +384,19 @@ def test_parse_error_texts(tmp_path, case):
     with pytest.raises(ParseError) as err:
         parse_network(str(path))
     assert str(err.value) == f"{path}:{line_no}: {message}"
+
+
+def test_cost_integers_below_2_63_parse_as_int64(tmp_path):
+    """The *_past_int64 parse errors' networks, one step smaller, parse."""
+    path = tmp_path / "big.net"
+    path.write_text(
+        _BIG.format(c=1) + _A + "node g global_avg_pool inputs=a\n"
+        + f"node fc fully_connected units={_FC_UNITS_MAX} inputs=g\n"
+    )
+    net = parse_network(str(path))
+    assert net.conv_columns.values.dtype == np.int64
+    assert net.conv_columns.maxima[IN_ELEMS] == 2**62
+    assert [units for *_, units in net.host_nodes] == [2**62, _FC_UNITS_MAX]
 
 
 @pytest.mark.parametrize(
